@@ -58,15 +58,15 @@ struct BenchSetup {
     data = data::MakeEbLike(kEntities, 4, /*seed=*/7);
     scaler.Fit(data.series, 0, data.num_steps() * 7 / 10);
 
-    serve::SessionConfig config;
-    config.model_name = model_name;
-    config.num_entities = kEntities;
-    config.in_channels = 1;
-    config.adjacency = graph::GaussianKernelAdjacency(data.distances);
-    config.sizing = BenchSizing();
+    serve::ModelSpec spec;
+    spec.model_name = model_name;
+    spec.num_entities = kEntities;
+    spec.in_channels = 1;
+    spec.adjacency = graph::GaussianKernelAdjacency(data.distances);
+    spec.sizing = BenchSizing();
     std::unique_ptr<serve::InferenceSession> built;
-    const Status status = serve::InferenceSession::Create(config, scaler,
-                                                          &built);
+    const Status status = serve::InferenceSession::Create(
+        spec, serve::SessionOptions(), scaler, &built);
     ENHANCENET_CHECK(status.ok()) << status.ToString();
     session = std::move(built);
 

@@ -1,19 +1,12 @@
-// Training-throughput benchmarks (PR: allocation-free training hot path).
+// Training-throughput benchmarks.
 //
 // Measures the full training step — batch forward, masked-loss backward,
 // gradient clip, optimizer step — for RNN, D-GRNN, TCN, and STGCN configs
-// in two configurations of the same binary:
-//  * baseline:  system allocator semantics (no block recycling), unfused
-//               cell/conv/optimizer kernels, keep-everything backward — the
-//               pre-PR hot path;
-//  * optimized: caching TensorAllocator + fused FusedGruCell/FusedLstmCell/
-//               GruCombine/FusedGatedConv kernels + GEMM bias epilogues +
-//               fused ParallelFor optimizer steps + eager backward release.
-// Both rows land in BENCH_train.json (via bench/run_bench_train.sh), so the
-// speedup and the steady-state allocation counts are recorded side by side
-// in one artifact. Allocator counters report allocations/step after warmup:
-// in the optimized configuration the bucket hit rate is ~100% and heap
-// allocations per step are ~0.
+// on the library's one execution path: caching TensorAllocator, fused
+// FusedGruCell/FusedLstmCell/GruCombine/FusedGatedConv kernels, GEMM bias
+// epilogues, ParallelFor optimizer steps and eager backward release.
+// Allocator counters report allocations/step after warmup: the bucket hit
+// rate is ~100% and heap allocations per step are ~0.
 //
 // bench/run_bench_train.sh runs this and records BENCH_train.json at the
 // repo root.
@@ -29,7 +22,6 @@
 
 #include <atomic>
 
-#include "autograd/grad_mode.h"
 #include "autograd/ops.h"
 #include "bench_common.h"
 #include "common/logging.h"
@@ -116,26 +108,13 @@ struct TrainSetup {
   }
 };
 
-/// Applies the whole optimized/baseline configuration and drains any blocks
-/// the previous configuration left in the pool, so each benchmark measures
-/// its own allocator regime from a clean slate.
-void Configure(bool optimized) {
-  TensorAllocator::Global().set_caching_enabled(optimized);
-  TensorAllocator::Global().Trim();
-  ag::FusedKernels::SetEnabled(optimized);
-  ag::EagerBackwardRelease::SetEnabled(optimized);
-}
-
-void RestoreDefaults() { Configure(true); }
-
 void BM_TrainStep(benchmark::State& state, const char* model_name,
-                  bool optimized, bool bind_context = false) {
-  Configure(optimized);
-  // The *_context rows run the optimized configuration with an explicitly
-  // bound RuntimeContext (shared default allocator/exec, own workspace), so
-  // BENCH_train.json records what the per-step Current() lookup costs:
-  // run_bench_train.sh divides the context row's median by the optimized
-  // row's and stores the ratio as context_overhead.
+                  bool bind_context = false) {
+  // The *_context rows run with an explicitly bound RuntimeContext (shared
+  // default allocator/exec, own workspace), so BENCH_train.json records what
+  // the per-step Current() lookup costs: run_bench_train.sh divides the
+  // context row's median by the unbound row's and stores the ratio as
+  // context_overhead.
   std::optional<runtime::RuntimeContext> context;
   std::optional<runtime::RuntimeContext::Bind> bind;
   if (bind_context) {
@@ -145,8 +124,7 @@ void BM_TrainStep(benchmark::State& state, const char* model_name,
   TrainSetup setup(model_name);
   TensorAllocator& allocator = TensorAllocator::Global();
 
-  // Warmup fills the pool with every shape a step produces (and in the
-  // baseline configuration proves there is nothing to reuse).
+  // Warmup fills the pool with every shape a step produces.
   for (int i = 0; i < 2; ++i) setup.Step();
   allocator.ResetStats();
 
@@ -162,7 +140,7 @@ void BM_TrainStep(benchmark::State& state, const char* model_name,
   const AllocatorStats stats = allocator.GetStats();
   const double iterations = static_cast<double>(state.iterations());
   // Heap allocations per steady-state step: pool misses plus oversize
-  // requests (pool hits cost no heap traffic). ~0 when optimized.
+  // requests (pool hits cost no heap traffic). ~0 in steady state.
   state.counters["allocs_per_step"] =
       static_cast<double>(stats.pool_misses + stats.oversize) / iterations;
   state.counters["pool_hit_rate"] = stats.HitRate();
@@ -170,33 +148,20 @@ void BM_TrainStep(benchmark::State& state, const char* model_name,
       static_cast<double>(setup.StepsPerEpoch());
   state.counters["epoch_seconds_est"] =
       wall_seconds / iterations * static_cast<double>(setup.StepsPerEpoch());
-
-  RestoreDefaults();
 }
 
-BENCHMARK_CAPTURE(BM_TrainStep, RNN_baseline, "RNN", false)
+BENCHMARK_CAPTURE(BM_TrainStep, RNN, "RNN")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TrainStep, RNN_context, "RNN", true)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TrainStep, RNN_optimized, "RNN", true)
+BENCHMARK_CAPTURE(BM_TrainStep, DGRNN, "D-GRNN")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TrainStep, RNN_context, "RNN", true, true)
+BENCHMARK_CAPTURE(BM_TrainStep, DGRNN_context, "D-GRNN", true)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TrainStep, DGRNN_baseline, "D-GRNN", false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TrainStep, DGRNN_optimized, "D-GRNN", true)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TrainStep, DGRNN_context, "D-GRNN", true, true)
-    ->Unit(benchmark::kMillisecond);
-// TCN-family rows (DESIGN.md §8): the optimized configuration additionally
-// routes the gated causal conv through FusedGatedConv (one stacked
-// gated-epilogue GEMM) and Linear through the kBias epilogue, so
-// baseline-vs-optimized is the fused-kernel speedup on top of the allocator.
-BENCHMARK_CAPTURE(BM_TrainStep, TCN_baseline, "TCN", false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TrainStep, TCN_optimized, "TCN", true)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TrainStep, STGCN_baseline, "STGCN", false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TrainStep, STGCN_optimized, "STGCN", true)
+// TCN-family rows (DESIGN.md §8): the gated causal conv runs through
+// FusedGatedConv (one stacked gated-epilogue GEMM) and Linear through the
+// kBias epilogue.
+BENCHMARK_CAPTURE(BM_TrainStep, TCN, "TCN")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TrainStep, STGCN, "STGCN")
     ->Unit(benchmark::kMillisecond);
 
 // --- sparse top-k dynamic adjacency (DESIGN.md §10) -------------------------
@@ -213,11 +178,9 @@ int SetGlobalTopK(int topk) {
 /// Full D-DA-GRNN training step at paper scale (N=208) with the dynamic
 /// adjacency dense (k=0) or top-k sparsified. D-DA-GRNN is the variant that
 /// owns a DAMGN — plain D-GRNN has only static supports and ignores topk.
-/// Same optimized configuration and counters as BM_TrainStep, so
-/// BENCH_train.json carries the dense-vs-sparse step time and the
-/// allocs/step evidence side by side.
+/// Same counters as BM_TrainStep, so BENCH_train.json carries the
+/// dense-vs-sparse step time and the allocs/step evidence side by side.
 void BM_TrainStepSweep(benchmark::State& state, int topk) {
-  Configure(true);
   const int prev_topk = SetGlobalTopK(topk);
   TrainSetup setup("D-DA-GRNN", kSweepEntities, /*days=*/2);
   TensorAllocator& allocator = TensorAllocator::Global();
@@ -236,7 +199,6 @@ void BM_TrainStepSweep(benchmark::State& state, int topk) {
   state.counters["topk"] = topk;
 
   SetGlobalTopK(prev_topk);
-  RestoreDefaults();
 }
 
 BENCHMARK_CAPTURE(BM_TrainStepSweep, N208_dense, 0)
@@ -306,7 +268,6 @@ struct AccuracyVsKSetup {
   /// same topk. Identical seeds mean dense-vs-sparse differences are the
   /// effect of sparsification, not run-to-run noise.
   Trained TrainWithTopK(int topk) {
-    Configure(true);
     const int prev_topk = SetGlobalTopK(topk);
     const models::ModelSizing sizing = BenchSizing();
     Trained out;
@@ -326,7 +287,6 @@ struct AccuracyVsKSetup {
     Rng eval_rng(5);
     out.mae = out.trainer->Evaluate(*test_set, &acc, eval_rng).mae;
     SetGlobalTopK(prev_topk);
-    RestoreDefaults();
     return out;
   }
 

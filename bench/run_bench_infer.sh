@@ -19,12 +19,21 @@ if [[ ! -x "$BUILD_DIR/bench/bench_infer" ]]; then
   cmake --build "$BUILD_DIR" -j --target bench_infer
 fi
 
+# Results go to a temp file beside $OUT and replace it only once they parse
+# as JSON, so an interrupted or failed run leaves the committed artifact
+# intact.
+TMP="$(mktemp "$OUT.XXXXXX")"
+trap 'rm -f "$TMP"' EXIT
+chmod 644 "$TMP"
+
 # The metrics snapshot (counters + histograms, same JSON schema as the
 # CLI's --metrics-out) lands next to the timings.
 ENHANCENET_METRICS_OUT="${ENHANCENET_METRICS_OUT:-$ROOT/BENCH_infer_metrics.json}" \
 "$BUILD_DIR/bench/bench_infer" \
   --benchmark_format=json \
   ${BENCHMARK_FILTER:+--benchmark_filter="$BENCHMARK_FILTER"} \
-  > "$OUT"
+  > "$TMP"
 
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$TMP"
+mv "$TMP" "$OUT"
 echo "wrote $OUT"

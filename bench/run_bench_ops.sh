@@ -25,6 +25,13 @@ if [[ ! -x "$BUILD_DIR/bench/bench_ops" ]]; then
   cmake --build "$BUILD_DIR" -j --target bench_ops
 fi
 
+# Results go to a temp file beside $OUT and replace it only once they parse
+# as JSON, so an interrupted or failed run leaves the committed artifact
+# intact.
+TMP="$(mktemp "$OUT.XXXXXX")"
+trap 'rm -f "$TMP"' EXIT
+chmod 644 "$TMP"
+
 # The metrics snapshot (counters + histograms, same JSON schema as the
 # CLI's --metrics-out) lands next to the timings.
 ENHANCENET_METRICS_OUT="${ENHANCENET_METRICS_OUT:-$ROOT/BENCH_ops_metrics.json}" \
@@ -34,16 +41,13 @@ ENHANCENET_METRICS_OUT="${ENHANCENET_METRICS_OUT:-$ROOT/BENCH_ops_metrics.json}"
   --benchmark_enable_random_interleaving=true \
   --benchmark_report_aggregates_only=true \
   ${BENCHMARK_FILTER:+--benchmark_filter="$BENCHMARK_FILTER"} \
-  > "$OUT"
-
-echo "wrote $OUT"
+  > "$TMP"
 
 # Post-process: record the dense-vs-sparse adjacency-apply N-sweep as a
 # top-level sparse_vs_dense key (median over the interleaved repetitions,
 # so both families sampled the same machine states). The sparse PR's
 # acceptance bar is >= 5x at N=1024, k=16.
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$OUT" <<'EOF'
+python3 - "$TMP" <<'EOF'
 import json, sys
 path = sys.argv[1]
 doc = json.load(open(path))
@@ -128,6 +132,9 @@ if sweep or sharded:
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    print(f"recorded sweep keys in {path}")
+    print("recorded sweep keys")
 EOF
-fi
+
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$TMP"
+mv "$TMP" "$OUT"
+echo "wrote $OUT"

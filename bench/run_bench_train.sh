@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
 # Runs the training-throughput benchmarks and records the results as
-# BENCH_train.json at the repo root. Each model is measured in both the
-# baseline configuration (system-allocator semantics, unfused kernels,
-# keep-everything backward — the pre-PR hot path) and the optimized one
-# (caching allocator + fused cell/optimizer kernels + eager backward
-# release), so the file carries its own baseline and the speedup is
-# reproducible from a single run.
+# BENCH_train.json at the repo root: the RNN/D-GRNN/TCN/STGCN training step
+# (plus bound-context rows), the N=208 dense-vs-top-k D-DA-GRNN step sweep
+# and the accuracy-vs-k curve.
 #
 # Usage:
-#   bench/run_bench_train.sh            # RNN/D-GRNN/TCN/STGCN, both configs
+#   bench/run_bench_train.sh            # every row
 #   BENCHMARK_FILTER='DGRNN' bench/run_bench_train.sh
 #   BUILD_DIR=/tmp/build bench/run_bench_train.sh
 #   ENHANCENET_NUM_THREADS=1 bench/run_bench_train.sh   # serial kernels
@@ -23,30 +20,33 @@ if [[ ! -x "$BUILD_DIR/bench/bench_train" ]]; then
   cmake --build "$BUILD_DIR" -j --target bench_train
 fi
 
+# Results go to a temp file beside $OUT and replace it only once they parse
+# as JSON, so an interrupted or failed run leaves the committed artifact
+# intact.
+TMP="$(mktemp "$OUT.XXXXXX")"
+trap 'rm -f "$TMP"' EXIT
+chmod 644 "$TMP"
+
 # The metrics snapshot (counters + histograms, same JSON schema as the
 # CLI's --metrics-out) lands next to the timings; it includes the
 # tensor.alloc.* pool counters.
-# Medians over randomly interleaved repetitions: on a shared single-core
-# runner two configurations timed seconds apart drift by hypervisor steal
-# (see DESIGN.md §7); interleaving samples both across the same machine
-# states so the recorded ratio is the kernels', not the scheduler's.
+# Medians over randomly interleaved repetitions: on a shared runner two rows
+# timed seconds apart drift by hypervisor steal (see DESIGN.md §7);
+# interleaving samples both across the same machine states so the recorded
+# ratios are the kernels', not the scheduler's.
 ENHANCENET_METRICS_OUT="${ENHANCENET_METRICS_OUT:-$ROOT/BENCH_train_metrics.json}" \
 "$BUILD_DIR/bench/bench_train" \
   --benchmark_format=json \
   --benchmark_repetitions="${BENCHMARK_REPETITIONS:-5}" \
   --benchmark_enable_random_interleaving \
   ${BENCHMARK_FILTER:+--benchmark_filter="$BENCHMARK_FILTER"} \
-  > "$OUT"
+  > "$TMP"
 
-echo "wrote $OUT"
-
-# Post-process: print the baseline/optimized epoch-time ratio per model and
-# record context_overhead — the fractional cost of running the measured step
-# with an explicitly bound RuntimeContext (the *_context rows) relative to
-# the optimized rows — as a top-level key in BENCH_train.json. The runtime
-# PR's acceptance bar is < 2% overhead per model.
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$OUT" <<'EOF'
+# Post-process: print each model's median step and record context_overhead
+# — the fractional cost of running the step with an explicitly bound
+# RuntimeContext (the *_context rows) relative to the unbound rows — as a
+# top-level key in BENCH_train.json. The acceptance bar is < 2% per model.
+python3 - "$TMP" <<'EOF'
 import json, sys
 path = sys.argv[1]
 doc = json.load(open(path))
@@ -63,18 +63,15 @@ def median_row(name):
 
 context_overhead = {}
 for model in ("RNN", "DGRNN", "TCN", "STGCN"):
-    base = median_row(f"BM_TrainStep/{model}_baseline")
-    opt = median_row(f"BM_TrainStep/{model}_optimized")
+    row = median_row(f"BM_TrainStep/{model}")
     ctx = median_row(f"BM_TrainStep/{model}_context")
-    if not base or not opt:
+    if not row:
         continue
-    speedup = base["real_time"] / opt["real_time"]
-    line = (f"{model}: {speedup:.2f}x median step speedup "
-            f"(allocs/step {base['allocs_per_step']:.1f} -> "
-            f"{opt['allocs_per_step']:.2f}, "
-            f"hit rate {opt['pool_hit_rate']*100:.1f}%)")
+    line = (f"{model}: {row['real_time']:.2f} ms median step "
+            f"(allocs/step {row['allocs_per_step']:.2f}, "
+            f"hit rate {row['pool_hit_rate']*100:.1f}%)")
     if ctx:
-        overhead = ctx["real_time"] / opt["real_time"] - 1.0
+        overhead = ctx["real_time"] / row["real_time"] - 1.0
         context_overhead[model] = overhead
         line += f", context overhead {overhead*100:+.2f}%"
     print(line)
@@ -121,6 +118,9 @@ if context_overhead or sparse["train_step"] or sparse["accuracy_vs_k"]:
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    print(f"recorded summary keys in {path}")
+    print("recorded summary keys")
 EOF
-fi
+
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$TMP"
+mv "$TMP" "$OUT"
+echo "wrote $OUT"

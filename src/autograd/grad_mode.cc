@@ -5,36 +5,15 @@
 namespace enhancenet {
 namespace autograd {
 
-// All state lives on the runtime layer: the per-thread recording flag in
-// runtime::ThreadGradEnabled (so ParallelFor can propagate it into workers
-// without depending on autograd), and the fused/eager-release toggles on the
-// current RuntimeContext's exec config (env-seeded once by runtime/env.cc).
-// These classes are the autograd-facing facade over that state.
+// The per-thread recording flag lives on the runtime layer in
+// runtime::ThreadGradEnabled, so ParallelFor can propagate it into workers
+// without depending on autograd. These classes are the autograd-facing
+// facade over it.
 
 bool GradMode::IsEnabled() { return runtime::ThreadGradEnabled(); }
 
 void GradMode::SetEnabled(bool enabled) {
   runtime::SetThreadGradEnabled(enabled);
-}
-
-bool FusedKernels::IsEnabled() {
-  return runtime::RuntimeContext::Current().exec().fused_kernels.load(
-      std::memory_order_relaxed);
-}
-
-void FusedKernels::SetEnabled(bool enabled) {
-  runtime::RuntimeContext::Current().exec().fused_kernels.store(
-      enabled, std::memory_order_relaxed);
-}
-
-bool EagerBackwardRelease::IsEnabled() {
-  return runtime::RuntimeContext::Current().exec().eager_release.load(
-      std::memory_order_relaxed);
-}
-
-void EagerBackwardRelease::SetEnabled(bool enabled) {
-  runtime::RuntimeContext::Current().exec().eager_release.store(
-      enabled, std::memory_order_relaxed);
 }
 
 NoGradGuard::NoGradGuard() : previous_(runtime::ThreadGradEnabled()) {

@@ -29,37 +29,6 @@ class GradMode {
   static void SetEnabled(bool enabled);
 };
 
-/// Switch (on the current RuntimeContext's exec config; contexts share the
-/// default config unless built with private_exec) for the fused
-/// recurrent-cell and optimizer kernels
-/// (FusedGruCell / FusedLstmCell / GruCombine and the ParallelFor optimizer
-/// steps), plus backward's move-adoption of freshly computed gradient temps
-/// (Variable::AccumulateGrad's rvalue form). On by default;
-/// `ENHANCENET_FUSED=0` or SetEnabled(false) falls back to the original
-/// unfused op chains, scalar optimizer loops, and clone-always gradient
-/// accumulation, which is how the training bench measures the optimization
-/// win and how the equivalence tests build their reference graphs.
-class FusedKernels {
- public:
-  static bool IsEnabled();
-  static void SetEnabled(bool enabled);
-};
-
-/// Switch (on the current RuntimeContext's exec config, like FusedKernels)
-/// for eager release of backward-pass state. When on
-/// (the default), Backward() drops each non-leaf node's gradient buffer and
-/// backward closure — including the closure's captured activations — as soon
-/// as that node has propagated to its parents, so peak memory during a long
-/// rollout is bounded by the frontier of the sweep instead of the whole
-/// graph. `ENHANCENET_EAGER_RELEASE=0` or SetEnabled(false) keeps the legacy
-/// keep-everything behavior (used by the peak-memory test as its baseline).
-/// Leaf gradients and every node's data tensor are never touched.
-class EagerBackwardRelease {
- public:
-  static bool IsEnabled();
-  static void SetEnabled(bool enabled);
-};
-
 /// RAII scope that disables gradient recording on the calling thread, in the
 /// spirit of torch.no_grad(). Nestable; restores the previous mode on exit.
 ///

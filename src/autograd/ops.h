@@ -47,8 +47,7 @@ Variable BatchMatMul(const Variable& a, const Variable& b);
 /// full-tensor Add pass. One graph node instead of two; forward values are
 /// bitwise identical to Add(MatMul(a, b), bias) and gradients match exactly
 /// (dA = g·Bᵀ, dB = Aᵀ·g, dbias = column-sum of g — the same kernels the
-/// unfused pair runs). nn::Linear routes through this when FusedKernels is
-/// enabled.
+/// unfused pair runs). nn::Linear routes every biased forward through this.
 Variable MatMulBias(const Variable& a, const Variable& b,
                     const Variable& bias);
 

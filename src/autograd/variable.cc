@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "autograd/grad_mode.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
@@ -94,15 +93,8 @@ void Variable::AccumulateGrad(Tensor&& g) const {
       << " does not match data shape " << ShapeToString(node_->data.shape())
       << " (op " << node_->op_name << ")";
   if (!node_->grad_defined) {
-    // Adopting the temp (instead of cloning it) is part of the optimized
-    // training hot path, so it rides the FusedKernels toggle: with the
-    // toggle off this degrades to the clone-always pre-optimization
-    // behavior, which keeps in-process baseline benchmarking honest.
-    if (FusedKernels::IsEnabled()) {
-      node_->grad = std::move(g);
-    } else {
-      node_->grad = g.Clone();
-    }
+    // Adopt the temp outright: nothing else holds it, so no clone is needed.
+    node_->grad = std::move(g);
     node_->grad_defined = true;
   } else {
     ops::AxpyInPlace(1.0f, g, &node_->grad);
@@ -142,25 +134,25 @@ void Variable::Backward() {
   // backward_fn fires (all of a node's consumers fire earlier in the sweep).
   // That same ordering makes eager release safe: once a node's backward_fn
   // has run, nothing later in the sweep reads its grad or its closure, so
-  // both can be dropped immediately — the closure's captured aux tensors
-  // (saved activations, masks) are the bulk of backward-pass memory. Data
-  // tensors and leaf grads are user-visible and always kept.
-  const bool release = EagerBackwardRelease::IsEnabled();
+  // both are dropped immediately — the closure's captured aux tensors
+  // (saved activations, masks) are the bulk of backward-pass memory, so peak
+  // memory during a long rollout is bounded by the frontier of the sweep
+  // instead of the whole graph. Data tensors and leaf grads are user-visible
+  // and always kept.
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     Node* node = *it;
     if (node->backward_fn && node->grad_defined) {
       node->backward_fn(node->grad);
     }
-    if (release && !node->is_leaf) {
+    if (!node->is_leaf) {
       node->grad = Tensor();
       node->grad_defined = false;
       node->backward_fn = nullptr;
     }
   }
 
-  // What the finished graph still pins: every node's data plus whatever
-  // gradients remain (all of them in keep-everything mode, leaves only under
-  // eager release).
+  // What the finished graph still pins: every node's data plus the leaf
+  // gradients.
   int64_t live_bytes = 0;
   for (Node* node : topo) {
     live_bytes += node->data.numel() * static_cast<int64_t>(sizeof(float));

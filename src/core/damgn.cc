@@ -1,6 +1,5 @@
 #include "core/damgn.h"
 
-#include "autograd/grad_mode.h"
 #include "common/logging.h"
 #include "graph/adjacency.h"
 #include "nn/init.h"
@@ -50,18 +49,13 @@ ag::Variable Damgn::DynamicC(const ag::Variable& x) const {
   // C[i,j] = exp(θ(x_i)ᵀ φ(x_j)) / Σ_j exp(θ(x_i)ᵀ φ(x_j))   (Equation 16)
   ag::Variable e_src = theta_.Forward(x);  // [B, N, e]
   ag::Variable e_dst = phi_.Forward(x);    // [B, N, e]
-  if (!ag::GradMode::IsEnabled() || ag::FusedKernels::IsEnabled()) {
-    // Fused attention node: the φ-transpose and raw scores are staged in the
-    // bound context's Workspace arena in training too, so the recorded graph
-    // retains only the [B,N,N] probabilities. Forward values are bitwise
-    // identical to the unfused chain below (same Into kernels); in no-grad
-    // mode the result adopts a workspace block and parks it back on the
-    // arena when the last alias drops — the historical serving fast path.
-    return ag::AttentionProbs(e_src, e_dst);
-  }
-  ag::Variable scores =
-      ag::BatchMatMul(e_src, ag::Transpose(e_dst, 1, 2));  // [B, N, N]
-  return ag::SoftmaxLastDim(scores);
+  // Fused attention node: the φ-transpose and raw scores are staged in the
+  // bound context's Workspace arena in training too, so the recorded graph
+  // retains only the [B,N,N] probabilities. Forward values are bitwise
+  // identical to the BatchMatMul/Transpose/SoftmaxLastDim chain (same Into
+  // kernels); in no-grad mode the result adopts a workspace block and parks
+  // it back on the arena when the last alias drops.
+  return ag::AttentionProbs(e_src, e_dst);
 }
 
 graph::SparseAdjacency Damgn::SparseDynamicC(const ag::Variable& x,

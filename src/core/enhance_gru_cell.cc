@@ -1,6 +1,5 @@
 #include "core/enhance_gru_cell.h"
 
-#include "autograd/grad_mode.h"
 #include "common/logging.h"
 #include "graph/graph_conv.h"
 #include "nn/init.h"
@@ -90,17 +89,12 @@ ag::Variable EnhanceGruCell::Forward(
   ag::Variable gates = Transform(mixed_ru, w_ru, b_ru_, mixed_in_, 2 * hidden);
   ag::Variable u;
   ag::Variable xrh;
-  if (ag::FusedKernels::IsEnabled()) {
-    // Single-pass r/u gate tail; r is consumed only through r ⊙ h.
+  {
+    // Single-pass r/u gate tail; r is consumed only through r ⊙ h, and rh
+    // only through the candidate input, so it goes out of scope here.
     ag::Variable rh;
     ag::FusedGruGates(gates, h, &rh, &u);
     xrh = ag::Concat({x, rh}, -1);  // candidate input (Equation 5)
-  } else {
-    ag::Variable r = ag::Sigmoid(ag::Slice(gates, -1, 0, hidden));
-    u = ag::Sigmoid(ag::Slice(gates, -1, hidden, hidden));
-
-    // Candidate state (Equation 5).
-    xrh = ag::Concat({x, ag::Mul(r, h)}, -1);
   }
   ag::Variable mixed_c =
       graph::MixSupports(xrh, supports, /*include_self=*/true);
@@ -109,9 +103,7 @@ ag::Variable EnhanceGruCell::Forward(
 
   // h' = u ⊙ h + (1-u) ⊙ ĥ (Equation 6). The candidate depends on r through
   // a second graph convolution, so only the final combine fuses here.
-  if (ag::FusedKernels::IsEnabled()) return ag::GruCombine(u, h, candidate);
-  ag::Variable one_minus_u = ag::AddScalar(ag::Neg(u), 1.0f);
-  return ag::Add(ag::Mul(u, h), ag::Mul(one_minus_u, candidate));
+  return ag::GruCombine(u, h, candidate);
 }
 
 }  // namespace core

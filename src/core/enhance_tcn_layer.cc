@@ -1,6 +1,5 @@
 #include "core/enhance_tcn_layer.h"
 
-#include "autograd/grad_mode.h"
 #include "common/logging.h"
 #include "graph/graph_conv.h"
 #include "nn/init.h"
@@ -69,6 +68,11 @@ EnhanceTcnLayer::EnhanceTcnLayer(const TcnLayerConfig& config,
   RegisterSubmodule("skip_proj", skip_proj_.get());
 }
 
+ag::Variable EnhanceTcnLayer::GenerateFilters() const {
+  if (config_.use_dfgn) return dfgn_->Generate(*memory_);
+  return ag::Concat(tap_weights_, 0);
+}
+
 EnhanceTcnLayer::Output EnhanceTcnLayer::Forward(
     const ag::Variable& x, const std::vector<graph::Support>& supports,
     Rng& rng) const {
@@ -76,70 +80,26 @@ EnhanceTcnLayer::Output EnhanceTcnLayer::Forward(
   ENHANCENET_CHECK_EQ(static_cast<int64_t>(supports.size()),
                       config_.num_supports);
   const int64_t batch = x.size(0);
-  const int64_t n = x.size(1);
   const int64_t time = x.size(2);
-  const int64_t c_in = config_.in_channels;
-  const int64_t c_conv = config_.conv_channels;
-  ENHANCENET_CHECK_EQ(x.size(3), c_in);
+  ENHANCENET_CHECK_EQ(x.size(3), config_.in_channels);
   const int64_t kernel = config_.kernel_size;
   const int64_t dilation = config_.dilation;
 
-  ag::Variable z;  // gated conv output [B,N,T,C']
-  if (ag::FusedKernels::IsEnabled()) {
-    // Fused path: one stacked gated-epilogue GEMM replaces the K tap
-    // products, bias Add, and the Slice/Tanh/Sigmoid/Mul gating tail
-    // (DESIGN.md §8). ENHANCENET_FUSED=0 keeps the reference chain below.
-    const int64_t pad_left = dilation * (kernel - 1);
-    if (config_.use_dfgn) {
-      z = ag::FusedGatedConvPerEntity(
-          x, dfgn_->Generate(*memory_), conv_bias_, kernel, dilation,
-          pad_left, ops::GemmEpilogue::kBiasGatedTanhSigmoid);
-    } else {
-      z = ag::FusedGatedConv(x, ag::Concat(tap_weights_, 0), conv_bias_,
-                             kernel, dilation, pad_left,
-                             ops::GemmEpilogue::kBiasGatedTanhSigmoid);
-    }
-  } else {
-    // Per-entity tap filters, regenerated from the memories each pass.
-    std::vector<ag::Variable> taps = tap_weights_;
-    if (config_.use_dfgn) {
-      ag::Variable filters = dfgn_->Generate(*memory_);  // [N, K·C·2C']
-      taps.clear();
-      for (int64_t k = 0; k < kernel; ++k) {
-        taps.push_back(ag::Reshape(
-            ag::Slice(filters, -1, k * c_in * 2 * c_conv, c_in * 2 * c_conv),
-            {config_.num_entities, c_in, 2 * c_conv}));
-      }
-    }
-
-    // Dilated causal convolution (Equation 8): left-pad by d·(K-1) so that
-    // output[t] only sees inputs at t, t-d, ..., t-d(K-1).
-    ag::Variable padded = ag::PadAxis(x, 2, dilation * (kernel - 1), 0);
-    ag::Variable conv;  // [B,N,T,2C']
-    for (int64_t k = 0; k < kernel; ++k) {
-      ag::Variable tap_in = ag::Slice(padded, 2, k * dilation, time);
-      ag::Variable term;
-      if (config_.use_dfgn) {
-        // [B,N,T,C] -> [N,B·T,C] ·bmm· [N,C,2C'] -> back.
-        ag::Variable by_entity =
-            ag::Reshape(ag::Transpose(tap_in, 0, 1), {n, batch * time, c_in});
-        ag::Variable mixed = ag::BatchMatMul(by_entity, taps[k]);
-        term = ag::Transpose(
-            ag::Reshape(mixed, {n, batch, time, 2 * c_conv}), 0, 1);
-      } else {
-        ag::Variable flat = ag::Reshape(tap_in, {batch * n * time, c_in});
-        term = ag::Reshape(ag::MatMul(flat, taps[k]),
-                           {batch, n, time, 2 * c_conv});
-      }
-      conv = (k == 0) ? term : ag::Add(conv, term);
-    }
-    conv = ag::Add(conv, conv_bias_);
-
-    // WaveNet gating: z = tanh(f) ⊙ σ(g).
-    ag::Variable filter_part = ag::Slice(conv, -1, 0, c_conv);
-    ag::Variable gate_part = ag::Slice(conv, -1, c_conv, c_conv);
-    z = ag::Mul(ag::Tanh(filter_part), ag::Sigmoid(gate_part));
-  }
+  // Dilated causal convolution (Equation 8) with WaveNet gating
+  // z = tanh(f) ⊙ σ(g): left-padding by d·(K-1) makes output[t] see only
+  // inputs at t, t-d, ..., t-d(K-1). One stacked gated-epilogue GEMM covers
+  // the K tap products, the bias and the gating tail (DESIGN.md §8).
+  // The filters are a temporary of this statement, so in no-grad forwards
+  // their storage returns to the pool before the projections run.
+  const int64_t pad_left = dilation * (kernel - 1);
+  ag::Variable z =
+      config_.use_dfgn
+          ? ag::FusedGatedConvPerEntity(
+                x, GenerateFilters(), conv_bias_, kernel, dilation, pad_left,
+                ops::GemmEpilogue::kBiasGatedTanhSigmoid)
+          : ag::FusedGatedConv(x, GenerateFilters(), conv_bias_, kernel,
+                               dilation, pad_left,
+                               ops::GemmEpilogue::kBiasGatedTanhSigmoid);
 
   // Graph convolution on the gated output (Sec. V-C2), per timestamp.
   if (config_.num_supports > 0) {

@@ -75,6 +75,11 @@ class EnhanceTcnLayer : public nn::Module {
                  const std::vector<graph::Support>& supports,
                  Rng& rng) const;
 
+  /// This pass's causal-conv filters: the DFGN bank [N, K·C·2C'] generated
+  /// from the memories (k-major, input-channel-minor rows), or the K shared
+  /// tap weights stacked along dim 0 into [K·C, 2C'].
+  autograd::Variable GenerateFilters() const;
+
   const TcnLayerConfig& config() const { return config_; }
 
  private:

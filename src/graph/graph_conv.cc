@@ -15,26 +15,20 @@ ag::Variable ApplyAdjacency(const ag::Variable& adj, const ag::Variable& x) {
   ENHANCENET_CHECK_EQ(x.data().dim(), 3);
   const int64_t batch = x.size(0);
   const int64_t n = x.size(1);
-  const int64_t channels = x.size(2);
   if (adj.data().dim() == 2) {
     ENHANCENET_CHECK_EQ(adj.size(0), n);
     ENHANCENET_CHECK_EQ(adj.size(1), n);
     // Entity-sharded serving path (DESIGN.md §12): no-grad forwards with
     // ExecConfig::shards > 1 run the apply shard-by-shard on per-shard
-    // contexts. Bitwise-identical to AdjacencyMatMul, so it nests inside the
-    // fused-path check below.
-    if (!ag::GradMode::IsEnabled() && ag::FusedKernels::IsEnabled()) {
+    // contexts, bitwise-identical to AdjacencyMatMul.
+    if (!ag::GradMode::IsEnabled()) {
       if (auto executor = shard::EntityShardedExecutor::ForCurrentContext(n)) {
         return ag::Variable::Leaf(executor->ApplyDense(adj.data(), x.data()),
                                   /*requires_grad=*/false);
       }
     }
-    // Fused path: A · X computed directly in [B,N,C] layout, one graph node.
-    if (ag::FusedKernels::IsEnabled()) return ag::AdjacencyMatMul(adj, x);
-    // [B,N,C] -> [N,B,C] -> [N, B*C];  A · X  -> back.
-    ag::Variable xt = ag::Reshape(ag::Transpose(x, 0, 1), {n, batch * channels});
-    ag::Variable mixed = ag::MatMul(adj, xt);
-    return ag::Transpose(ag::Reshape(mixed, {n, batch, channels}), 0, 1);
+    // A · X computed directly in [B,N,C] layout, one graph node.
+    return ag::AdjacencyMatMul(adj, x);
   }
   ENHANCENET_CHECK_EQ(adj.data().dim(), 3);
   ENHANCENET_CHECK_EQ(adj.size(0), batch);

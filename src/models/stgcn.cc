@@ -1,6 +1,5 @@
 #include "models/stgcn.h"
 
-#include "autograd/grad_mode.h"
 #include "autograd/ops.h"
 #include "common/logging.h"
 #include "core/enhance_tcn_layer.h"
@@ -75,35 +74,14 @@ ag::Variable Stgcn::TemporalGlu(const ag::Variable& x,
                                 const std::vector<ag::Variable>& taps,
                                 const ag::Variable& bias,
                                 int64_t out_channels) const {
-  const int64_t batch = x.size(0);
-  const int64_t n = x.size(1);
-  const int64_t time = x.size(2);
-  const int64_t c_in = x.size(3);
   const int64_t kernel = static_cast<int64_t>(taps.size());
-  const int64_t t_out = time - kernel + 1;
-  ENHANCENET_CHECK_GE(t_out, 1);
-
-  if (ag::FusedKernels::IsEnabled()) {
-    // Valid (unpadded) conv + GLU in one stacked gated-epilogue GEMM;
-    // ENHANCENET_FUSED=0 keeps the reference chain below.
-    return ag::FusedGatedConv(x, ag::Concat(taps, 0), bias, kernel,
-                              /*dilation=*/1, /*pad_left=*/0,
-                              ops::GemmEpilogue::kBiasGlu);
-  }
-
-  ag::Variable conv;
-  for (int64_t k = 0; k < kernel; ++k) {
-    ag::Variable tap_in = ag::Slice(x, 2, k, t_out);
-    ag::Variable flat = ag::Reshape(tap_in, {batch * n * t_out, c_in});
-    ag::Variable term = ag::MatMul(flat, taps[static_cast<size_t>(k)]);
-    conv = (k == 0) ? term : ag::Add(conv, term);
-  }
-  conv = ag::Add(conv, bias);
-  // GLU: first half gated by the sigmoid of the second half.
-  ag::Variable a = ag::Slice(conv, -1, 0, out_channels);
-  ag::Variable b = ag::Slice(conv, -1, out_channels, out_channels);
-  return ag::Reshape(ag::Mul(a, ag::Sigmoid(b)),
-                     {batch, n, t_out, out_channels});
+  ENHANCENET_CHECK_GE(x.size(2) - kernel + 1, 1);
+  ENHANCENET_CHECK_EQ(taps[0].size(1), 2 * out_channels);
+  // Valid (unpadded) conv + GLU (first half gated by the sigmoid of the
+  // second half) in one stacked gated-epilogue GEMM.
+  return ag::FusedGatedConv(x, ag::Concat(taps, 0), bias, kernel,
+                            /*dilation=*/1, /*pad_left=*/0,
+                            ops::GemmEpilogue::kBiasGlu);
 }
 
 ag::Variable Stgcn::Forward(const Tensor& x, const Tensor* /*teacher*/,

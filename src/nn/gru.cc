@@ -1,6 +1,5 @@
 #include "nn/gru.h"
 
-#include "autograd/grad_mode.h"
 #include "autograd/ops.h"
 #include "common/logging.h"
 #include "nn/init.h"
@@ -23,24 +22,12 @@ ag::Variable GruCell::Forward(const ag::Variable& x,
                               const ag::Variable& h) const {
   ENHANCENET_CHECK_EQ(x.size(-1), input_size_);
   ENHANCENET_CHECK_EQ(h.size(-1), hidden_size_);
-  const int64_t hs = hidden_size_;
 
   ag::Variable gx = ag::Add(ag::MatMul(x, wx_), bias_);  // [rows, 3C']
   ag::Variable gh = ag::MatMul(h, wh_);                  // [rows, 3C']
-
-  if (ag::FusedKernels::IsEnabled()) return ag::FusedGruCell(gx, gh, h);
-
-  ag::Variable r = ag::Sigmoid(
-      ag::Add(ag::Slice(gx, -1, 0, hs), ag::Slice(gh, -1, 0, hs)));
-  ag::Variable u = ag::Sigmoid(
-      ag::Add(ag::Slice(gx, -1, hs, hs), ag::Slice(gh, -1, hs, hs)));
-  ag::Variable candidate = ag::Tanh(ag::Add(
-      ag::Slice(gx, -1, 2 * hs, hs),
-      ag::Mul(r, ag::Slice(gh, -1, 2 * hs, hs))));
-
-  // h' = u ⊙ h + (1 - u) ⊙ ĥ   (Equation 6)
-  ag::Variable one_minus_u = ag::AddScalar(ag::Neg(u), 1.0f);
-  return ag::Add(ag::Mul(u, h), ag::Mul(one_minus_u, candidate));
+  // r/u gates, candidate and h' = u ⊙ h + (1 - u) ⊙ ĥ (Equation 6) in one
+  // fused pass.
+  return ag::FusedGruCell(gx, gh, h);
 }
 
 LstmCell::LstmCell(int64_t input_size, int64_t hidden_size, Rng& rng)
@@ -58,25 +45,12 @@ LstmCell::LstmCell(int64_t input_size, int64_t hidden_size, Rng& rng)
 LstmCell::State LstmCell::Forward(const ag::Variable& x,
                                   const State& state) const {
   ENHANCENET_CHECK_EQ(x.size(-1), input_size_);
-  const int64_t hs = hidden_size_;
 
   ag::Variable gates =
       ag::Add(ag::Add(ag::MatMul(x, wx_), ag::MatMul(state.h, wh_)), bias_);
-
-  if (ag::FusedKernels::IsEnabled()) {
-    State next;
-    ag::FusedLstmCell(gates, state.c, &next.h, &next.c);
-    return next;
-  }
-
-  ag::Variable i = ag::Sigmoid(ag::Slice(gates, -1, 0, hs));
-  ag::Variable f = ag::Sigmoid(ag::Slice(gates, -1, hs, hs));
-  ag::Variable g = ag::Tanh(ag::Slice(gates, -1, 2 * hs, hs));
-  ag::Variable o = ag::Sigmoid(ag::Slice(gates, -1, 3 * hs, hs));
-
-  ag::Variable c = ag::Add(ag::Mul(f, state.c), ag::Mul(i, g));
-  ag::Variable h = ag::Mul(o, ag::Tanh(c));
-  return {h, c};
+  State next;
+  ag::FusedLstmCell(gates, state.c, &next.h, &next.c);
+  return next;
 }
 
 }  // namespace nn

@@ -1,6 +1,5 @@
 #include "nn/linear.h"
 
-#include "autograd/grad_mode.h"
 #include "common/logging.h"
 #include "nn/init.h"
 
@@ -26,16 +25,11 @@ ag::Variable Linear::Forward(const ag::Variable& x) const {
   Shape out_shape = x.shape();
   out_shape.back() = out_features_;
   ag::Variable flat = ag::Reshape(x, {-1, in_features_});
-  ag::Variable y;
-  if (bias_.defined() && ag::FusedKernels::IsEnabled()) {
-    // Bias folded into the GEMM write-back (ops::GemmEpilogue::kBias):
-    // bitwise-identical to MatMul + Add, one graph node and one full-tensor
-    // pass fewer.
-    y = ag::MatMulBias(flat, weight_, bias_);
-  } else {
-    y = ag::MatMul(flat, weight_);
-    if (bias_.defined()) y = ag::Add(y, bias_);
-  }
+  // Bias folded into the GEMM write-back (ops::GemmEpilogue::kBias):
+  // bitwise-identical to MatMul + Add, one graph node and one full-tensor
+  // pass fewer.
+  ag::Variable y = bias_.defined() ? ag::MatMulBias(flat, weight_, bias_)
+                                   : ag::MatMul(flat, weight_);
   return ag::Reshape(y, std::move(out_shape));
 }
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "autograd/grad_mode.h"
 #include "common/logging.h"
 #include "runtime/parallel.h"
 #include "tensor/tensor_ops.h"
@@ -12,10 +11,10 @@ namespace optim {
 
 namespace {
 
-/// Range-update helpers shared by the fused (ParallelFor) and scalar-loop
-/// optimizer paths. Each element's update depends only on index j, so the
-/// result is invariant to how [0, n) is partitioned — and because both paths
-/// execute this exact code, fused and scalar steps are bitwise identical.
+/// Range-update helpers run by one ParallelFor sweep per parameter. Each
+/// element's update depends only on index j, so the result is invariant to
+/// how [0, n) is partitioned: the step is bitwise identical to a serial
+/// scalar loop at any thread count.
 constexpr int64_t kStepGrain = 16 * 1024;
 
 void SgdPlainRange(float* p, const float* g, float lr, int64_t lo,
@@ -46,15 +45,10 @@ void AdamRange(float* p, float* m, float* v, const float* g, float lr,
   }
 }
 
-/// Runs `range(lo, hi)` over [0, n): one ParallelFor sweep when the fused
-/// kernels are enabled, a single serial call otherwise.
+/// Runs `range(lo, hi)` over [0, n) as one ParallelFor sweep.
 template <typename RangeFn>
 void RunStep(int64_t n, RangeFn&& range) {
-  if (autograd::FusedKernels::IsEnabled()) {
-    ParallelFor(0, n, kStepGrain, range);
-  } else {
-    range(0, n);
-  }
+  ParallelFor(0, n, kStepGrain, range);
 }
 
 }  // namespace
@@ -84,7 +78,7 @@ void Sgd::Step() {
     auto& p = params_[i];
     // Parameters that never saw a gradient this step (unused branches) are
     // skipped entirely: no velocity decay, no parameter touch, no pass over
-    // the elements — identical in the fused and scalar paths.
+    // the elements.
     if (!p.has_grad()) continue;
     const float* pg = p.grad().data();
     float* pp = p.mutable_data().data();

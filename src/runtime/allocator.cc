@@ -99,7 +99,6 @@ struct TensorAllocator::State {
   std::atomic<int64_t> bytes_outstanding{0};
   std::atomic<int64_t> bytes_cached{0};
   std::atomic<int64_t> bytes_high_water{0};
-  std::atomic<bool> caching{true};
   // Set by ~TensorAllocator: late frees release directly instead of caching
   // into a pool nobody will ever pop from.
   std::atomic<bool> retired{false};
@@ -216,8 +215,7 @@ void TensorAllocator::OnFree(State& st, float* block, int64_t capacity,
                              bool pooled) {
   const int64_t bytes = capacity * static_cast<int64_t>(sizeof(float));
   st.bytes_outstanding.fetch_sub(bytes, std::memory_order_relaxed);
-  const bool cache = pooled && st.caching.load(std::memory_order_relaxed) &&
-                     !st.retired.load(std::memory_order_relaxed);
+  const bool cache = pooled && !st.retired.load(std::memory_order_relaxed);
   if (cache) {
     // Return to the FREEING thread's shard: same-thread alloc/free cycles
     // (the overwhelmingly common case) stay on one lock, and cross-thread
@@ -291,14 +289,6 @@ void TensorAllocator::Trim() {
   st.bytes_cached.store(0, std::memory_order_relaxed);
   st.PushGauges();
   for (float* block : to_free) delete[] block;
-}
-
-bool TensorAllocator::caching_enabled() const {
-  return state_->caching.load(std::memory_order_relaxed);
-}
-
-void TensorAllocator::set_caching_enabled(bool enabled) {
-  state_->caching.store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace enhancenet

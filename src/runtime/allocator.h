@@ -64,11 +64,6 @@ struct AllocatorShardStats {
 /// stats) so a single giant tensor can never pin its high-water mark as
 /// cached-but-idle memory.
 ///
-/// `ENHANCENET_ALLOCATOR=system` disables caching for the default context's
-/// instance (every free list stays empty; blocks are freed on release) as an
-/// escape hatch for leak hunting with external heap tools. Accounting is
-/// identical in both modes, so tests written against the stats run anywhere.
-///
 /// Lifetime: the allocator's free lists and counters live in a state block
 /// shared with every outstanding deleter, so an instance may be destroyed
 /// while its tensors are still alive — late frees release their block
@@ -119,11 +114,6 @@ class TensorAllocator {
 
   /// Frees every cached block. Storage owned by live tensors is unaffected.
   void Trim();
-
-  bool caching_enabled() const;
-  /// Runtime override of the ENHANCENET_ALLOCATOR default (tests, benches).
-  /// Disabling does not free already-cached blocks; call Trim() for that.
-  void set_caching_enabled(bool enabled);
 
   /// Bucket capacity (in floats) for a request, or -1 when the request is
   /// oversize and must bypass the pool. Exposed for tests.

@@ -14,14 +14,9 @@ thread_local bool tls_grad_enabled = true;
 RuntimeContext::RuntimeContext(DefaultTag)
     : allocator_(std::make_shared<TensorAllocator>(
           /*export_metrics=*/true, TensorAllocator::kDefaultShards)),
-      exec_(std::make_shared<ExecConfig>(EnvNumThreads(), EnvFusedKernels(),
-                                         EnvEagerRelease(), EnvProfiling(),
+      exec_(std::make_shared<ExecConfig>(EnvNumThreads(), EnvProfiling(),
                                          EnvTopK(), EnvShards())),
-      workspace_(std::make_unique<Workspace>()) {
-  // Parsed eagerly (not on first Allocate) so an invalid ENHANCENET_ALLOCATOR
-  // aborts as soon as anything touches the default context.
-  allocator_->set_caching_enabled(EnvAllocatorCaching());
-}
+      workspace_(std::make_unique<Workspace>()) {}
 
 RuntimeContext::RuntimeContext() : RuntimeContext(Options{}) {}
 
@@ -33,7 +28,6 @@ RuntimeContext::RuntimeContext(const Options& options)
   } else if (options.private_allocator) {
     allocator_ = std::make_shared<TensorAllocator>(
         /*export_metrics=*/false, options.allocator_shards);
-    allocator_->set_caching_enabled(EnvAllocatorCaching());
   } else {
     allocator_ = def.allocator_;
   }
@@ -43,8 +37,6 @@ RuntimeContext::RuntimeContext(const Options& options)
     ExecConfig& d = *def.exec_;
     exec_ = std::make_shared<ExecConfig>(
         d.num_threads.load(std::memory_order_relaxed),
-        d.fused_kernels.load(std::memory_order_relaxed),
-        d.eager_release.load(std::memory_order_relaxed),
         d.profiling.load(std::memory_order_relaxed),
         d.topk.load(std::memory_order_relaxed),
         d.shards.load(std::memory_order_relaxed));

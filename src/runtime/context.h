@@ -13,23 +13,18 @@ namespace enhancenet {
 namespace runtime {
 
 /// Mutable execution configuration shared by every thread of a context:
-/// ParallelFor's thread budget, the fused-kernel and eager-release toggles,
-/// and the tensor-backend profiling switch. All fields are relaxed atomics —
-/// readers sit on hot paths (one load per kernel call) and the toggles are
+/// ParallelFor's thread budget, the tensor-backend profiling switch, the
+/// DAMGN top-k and the entity shard count. All fields are relaxed atomics —
+/// readers sit on hot paths (one load per kernel call) and the fields are
 /// control-plane knobs, not synchronization.
 struct ExecConfig {
-  ExecConfig(int threads, bool fused, bool eager, bool profile, int top_k = 0,
-             int num_shards = 1)
+  ExecConfig(int threads, bool profile, int top_k = 0, int num_shards = 1)
       : num_threads(threads),
-        fused_kernels(fused),
-        eager_release(eager),
         profiling(profile),
         topk(top_k),
         shards(num_shards) {}
 
   std::atomic<int> num_threads;
-  std::atomic<bool> fused_kernels;
-  std::atomic<bool> eager_release;
   std::atomic<bool> profiling;
   /// Top-k sparsification of the DAMGN dynamic adjacency: 0 = dense
   /// (bitwise-identical to the pre-sparse code path), k >= 1 keeps the k

@@ -41,17 +41,6 @@ int ParseNumThreads() {
   return static_cast<int>(v);
 }
 
-bool ParseAllocatorCaching() {
-  const char* value = std::getenv("ENHANCENET_ALLOCATOR");
-  if (value == nullptr || value[0] == '\0') return true;
-  const std::string choice(value);
-  if (choice == "caching") return true;
-  if (choice == "system") return false;
-  ENHANCENET_CHECK(false) << "ENHANCENET_ALLOCATOR must be 'caching' or "
-                          << "'system' (got '" << choice << "')";
-  return true;
-}
-
 int ParseTopK() {
   const char* value = std::getenv("ENHANCENET_TOPK");
   if (value == nullptr || value[0] == '\0') return 0;
@@ -90,21 +79,6 @@ double ParseSloMs() {
 
 int EnvNumThreads() {
   static const int value = ParseNumThreads();
-  return value;
-}
-
-bool EnvAllocatorCaching() {
-  static const bool value = ParseAllocatorCaching();
-  return value;
-}
-
-bool EnvFusedKernels() {
-  static const bool value = ParseBool("ENHANCENET_FUSED", true);
-  return value;
-}
-
-bool EnvEagerRelease() {
-  static const bool value = ParseBool("ENHANCENET_EAGER_RELEASE", true);
   return value;
 }
 

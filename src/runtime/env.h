@@ -23,17 +23,6 @@ namespace runtime {
 /// in [1, 4096].
 int EnvNumThreads();
 
-/// ENHANCENET_ALLOCATOR: 'caching' (default) or 'system'. Controls whether
-/// the default context's TensorAllocator recycles freed blocks.
-bool EnvAllocatorCaching();
-
-/// ENHANCENET_FUSED: fused recurrent-cell / optimizer kernels. Default on.
-bool EnvFusedKernels();
-
-/// ENHANCENET_EAGER_RELEASE: eager release of backward-pass state. Default
-/// on.
-bool EnvEagerRelease();
-
 /// ENHANCENET_PROFILE: tensor-backend profiling counters. Default off.
 bool EnvProfiling();
 

@@ -79,24 +79,6 @@ struct SessionOptions {
   std::shared_ptr<TensorAllocator> allocator;
 };
 
-/// DEPRECATED aliasing shim for the pre-registry API, kept for one release:
-/// the flat config that predates the ModelSpec/SessionOptions split. Field
-/// access is source-compatible with the old struct (`config.model_name`,
-/// `config.seed`, ...); new code should construct ModelSpec and
-/// SessionOptions directly.
-struct SessionConfig : ModelSpec {
-  uint64_t seed = 2024;
-  int topk = -1;
-
-  const ModelSpec& spec() const { return *this; }
-  SessionOptions options() const {
-    SessionOptions o;
-    o.seed = seed;
-    o.topk = topk;
-    return o;
-  }
-};
-
 /// One forecasting request.
 struct PredictRequest {
   /// History window: [N, H, C] for a single window or [B, N, H, C] for a
@@ -157,13 +139,6 @@ class InferenceSession {
   static Status Create(const ModelSpec& spec, const SessionOptions& options,
                        const data::StandardScaler& scaler,
                        std::unique_ptr<InferenceSession>* out);
-
-  /// DEPRECATED: pre-split entry point, forwards to the primary overload.
-  static Status Create(const SessionConfig& config,
-                       const data::StandardScaler& scaler,
-                       std::unique_ptr<InferenceSession>* out) {
-    return Create(config.spec(), config.options(), scaler, out);
-  }
 
   virtual ~InferenceSession() = default;
 

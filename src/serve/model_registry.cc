@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "runtime/env.h"
 
 namespace enhancenet {
 namespace serve {
@@ -149,7 +148,6 @@ Status ModelRegistry::BuildVersion(const std::string& name, int64_t version,
   // default allocator's tensor.alloc.* stream stays the trainer's.
   fresh->allocator = std::make_shared<TensorAllocator>(
       /*export_metrics=*/false);
-  fresh->allocator->set_caching_enabled(runtime::EnvAllocatorCaching());
   SessionOptions session_options = options.session;
   session_options.allocator = fresh->allocator;
   const int pool_size = std::max(1, options.pool_size);

@@ -41,14 +41,11 @@ EntityShardedExecutor::EntityShardedExecutor(ShardPlan plan)
     auto context = std::make_unique<runtime::RuntimeContext>(options);
     context->exec().num_threads.store(slice, std::memory_order_relaxed);
     context->exec().shards.store(1, std::memory_order_relaxed);
-    context->exec().fused_kernels.store(
-        owner.exec().fused_kernels.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
     context->exec().topk.store(
         owner.exec().topk.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
     contexts_.push_back(std::move(context));
-    const std::string prefix = "tensor.alloc.shard." + std::to_string(s);
+    const std::string prefix = "shard." + std::to_string(s) + ".alloc";
     gauge_requests_.push_back(registry.GetGauge(prefix + ".requests"));
     gauge_bytes_.push_back(registry.GetGauge(prefix + ".bytes_outstanding"));
   }

@@ -42,7 +42,7 @@ class EntityShardedExecutor {
  public:
   /// Builds one RuntimeContext per shard. Thread budget: each shard context
   /// gets max(1, T/S) ParallelFor threads, where T is the budget of the
-  /// context bound at construction. Fused/topk toggles are copied from it;
+  /// context bound at construction. Its topk setting is copied;
   /// shard contexts always run shards=1 (no recursive sharding).
   explicit EntityShardedExecutor(ShardPlan plan);
 
@@ -82,7 +82,7 @@ class EntityShardedExecutor {
 
   ShardPlan plan_;
   std::vector<std::unique_ptr<runtime::RuntimeContext>> contexts_;
-  /// Cached obs handles: tensor.alloc.shard.<s>.{requests,bytes_outstanding}.
+  /// Cached obs handles: shard.<s>.alloc.{requests,bytes_outstanding}.
   std::vector<obs::Gauge*> gauge_requests_;
   std::vector<obs::Gauge*> gauge_bytes_;
 };

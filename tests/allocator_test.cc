@@ -34,16 +34,6 @@ TEST(AllocatorTest, NegativeRequestDies) {
   EXPECT_DEATH(TensorAllocator::BucketNumel(-1), "negative allocation");
 }
 
-TEST(AllocatorTest, InvalidEnvChoiceDies) {
-  EXPECT_DEATH(
-      {
-        setenv("ENHANCENET_ALLOCATOR", "bogus", /*overwrite=*/1);
-        // Fresh process (death test child): first Global() touch parses env.
-        TensorAllocator::Global();
-      },
-      "ENHANCENET_ALLOCATOR must be");
-}
-
 TEST(AllocatorTest, ReuseAfterReturn) {
   TensorAllocator allocator;
   float* first = nullptr;
@@ -114,25 +104,6 @@ TEST(AllocatorTest, OversizeBypassesPool) {
   EXPECT_EQ(stats.bytes_cached, 0);
 }
 
-TEST(AllocatorTest, SystemModeNeverCaches) {
-  TensorAllocator allocator;
-  allocator.set_caching_enabled(false);
-  float* first = nullptr;
-  {
-    std::shared_ptr<float[]> block = allocator.Allocate(64);
-    first = block.get();
-    (void)first;
-  }
-  AllocatorStats stats = allocator.GetStats();
-  EXPECT_EQ(stats.bytes_cached, 0);
-  std::shared_ptr<float[]> again = allocator.Allocate(64);
-  stats = allocator.GetStats();
-  // Both requests missed: accounting is identical to caching mode except
-  // nothing is ever served from a free list.
-  EXPECT_EQ(stats.pool_hits, 0);
-  EXPECT_EQ(stats.pool_misses, 2);
-}
-
 TEST(AllocatorTest, ConcurrentAllocFreeStress) {
   TensorAllocator allocator;
   constexpr int kThreads = 8;
@@ -172,8 +143,6 @@ TEST(AllocatorTest, ConcurrentAllocFreeStress) {
 // parameter update), against the process-global allocator Tensor uses.
 TEST(AllocatorTest, TrainingStepsHitPoolAfterWarmup) {
   TensorAllocator& allocator = TensorAllocator::Global();
-  const bool was_caching = allocator.caching_enabled();
-  allocator.set_caching_enabled(true);
 
   Rng rng(1234);
   nn::GruCell cell(8, 16, rng);
@@ -201,8 +170,6 @@ TEST(AllocatorTest, TrainingStepsHitPoolAfterWarmup) {
   EXPECT_GT(stats.HitRate(), 0.95)
       << "steady-state steps should allocate from the pool: hits="
       << stats.pool_hits << " misses=" << stats.pool_misses;
-
-  allocator.set_caching_enabled(was_caching);
 }
 
 }  // namespace

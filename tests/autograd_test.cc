@@ -388,7 +388,79 @@ INSTANTIATE_TEST_SUITE_P(
                    ag::Variable attn = ag::SoftmaxLastDim(scores);
                    return Scalarize(ag::MatMul(attn, in[2]));
                  },
-                 {{4, 3}, {4, 3}, {4, 2}}}),
+                 {{4, 3}, {4, 3}, {4, 2}}},
+        // Hand-written single-pass backwards of the fused kernels.
+        GradCase{"fused_gru_cell",
+                 [](const std::vector<ag::Variable>& in) {
+                   return Scalarize(ag::FusedGruCell(in[0], in[1], in[2]));
+                 },
+                 {{3, 6}, {3, 6}, {3, 2}}},
+        GradCase{"fused_lstm_cell_h",
+                 [](const std::vector<ag::Variable>& in) {
+                   ag::Variable h, c;
+                   ag::FusedLstmCell(in[0], in[1], &h, &c);
+                   return Scalarize(h);
+                 },
+                 {{3, 8}, {3, 2}}},
+        GradCase{"fused_lstm_cell_c",
+                 [](const std::vector<ag::Variable>& in) {
+                   ag::Variable h, c;
+                   ag::FusedLstmCell(in[0], in[1], &h, &c);
+                   return Scalarize(c);
+                 },
+                 {{3, 8}, {3, 2}}},
+        GradCase{"gru_combine",
+                 [](const std::vector<ag::Variable>& in) {
+                   return Scalarize(ag::GruCombine(in[0], in[1], in[2]));
+                 },
+                 {{2, 3}, {2, 3}, {2, 3}}},
+        GradCase{"fused_gru_gates",
+                 [](const std::vector<ag::Variable>& in) {
+                   ag::Variable rh, u;
+                   ag::FusedGruGates(in[0], in[1], &rh, &u);
+                   return Scalarize(ag::Concat({rh, u}, -1));
+                 },
+                 {{3, 4}, {3, 2}}},
+        GradCase{"adjacency_matmul",
+                 [](const std::vector<ag::Variable>& in) {
+                   return Scalarize(ag::AdjacencyMatMul(in[0], in[1]));
+                 },
+                 {{4, 4}, {2, 4, 3}}},
+        GradCase{"matmul_bias",
+                 [](const std::vector<ag::Variable>& in) {
+                   return Scalarize(ag::MatMulBias(in[0], in[1], in[2]));
+                 },
+                 {{3, 4}, {4, 5}, {5}}},
+        GradCase{"attention_probs",
+                 [](const std::vector<ag::Variable>& in) {
+                   return Scalarize(ag::AttentionProbs(in[0], in[1]));
+                 },
+                 {{2, 4, 3}, {2, 4, 3}}},
+        GradCase{"fused_gated_conv_tanh_sigmoid",
+                 [](const std::vector<ag::Variable>& in) {
+                   // Causal: K=2, d=2, left pad d·(K-1) keeps T.
+                   return Scalarize(ag::FusedGatedConv(
+                       in[0], in[1], in[2], /*kernel=*/2, /*dilation=*/2,
+                       /*pad_left=*/2,
+                       ops::GemmEpilogue::kBiasGatedTanhSigmoid));
+                 },
+                 {{2, 3, 5, 2}, {4, 4}, {4}}},
+        GradCase{"fused_gated_conv_glu",
+                 [](const std::vector<ag::Variable>& in) {
+                   // Valid: K=3, d=1, no pad, T shrinks by K-1.
+                   return Scalarize(ag::FusedGatedConv(
+                       in[0], in[1], in[2], /*kernel=*/3, /*dilation=*/1,
+                       /*pad_left=*/0, ops::GemmEpilogue::kBiasGlu));
+                 },
+                 {{2, 2, 5, 2}, {6, 4}, {4}}},
+        GradCase{"fused_gated_conv_per_entity",
+                 [](const std::vector<ag::Variable>& in) {
+                   return Scalarize(ag::FusedGatedConvPerEntity(
+                       in[0], in[1], in[2], /*kernel=*/2, /*dilation=*/1,
+                       /*pad_left=*/1,
+                       ops::GemmEpilogue::kBiasGatedTanhSigmoid));
+                 },
+                 {{2, 3, 4, 2}, {3, 16}, {4}}}),
     [](const ::testing::TestParamInfo<GradCase>& info) {
       return info.param.name;
     });

@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,13 +11,16 @@
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
+#include "core/enhance_gru_cell.h"
 #include "core/enhance_tcn_layer.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
 #include "graph/adjacency.h"
 #include "models/model_factory.h"
 #include "nn/gru.h"
+#include "obs/metrics.h"
 #include "optim/optimizer.h"
+#include "reference/reference.h"
 #include "runtime/allocator.h"
 #include "runtime/parallel.h"
 #include "tensor/tensor.h"
@@ -46,30 +50,13 @@ float MaxAbs(const Tensor& t) {
   return max_abs;
 }
 
-/// RAII toggle so a failing assertion can't leave the process-global fused
-/// flag in a surprising state for later tests.
-class FusedScope {
- public:
-  explicit FusedScope(bool enabled) : previous_(ag::FusedKernels::IsEnabled()) {
-    ag::FusedKernels::SetEnabled(enabled);
+/// Every entry of `fused` within kGradTol of the oracle's `reference`.
+void ExpectAllNear(const std::vector<Tensor>& fused,
+                   const std::vector<Tensor>& reference) {
+  ASSERT_EQ(fused.size(), reference.size());
+  for (size_t i = 0; i < fused.size(); ++i) {
+    EXPECT_LE(MaxAbsDiff(fused[i], reference[i]), kGradTol) << "tensor " << i;
   }
-  ~FusedScope() { ag::FusedKernels::SetEnabled(previous_); }
-
- private:
-  bool previous_;
-};
-
-/// Unfused reference for the GRU cell tail, mirroring the legacy op chain.
-ag::Variable UnfusedGruTail(const ag::Variable& gx, const ag::Variable& gh,
-                            const ag::Variable& h, int64_t hs) {
-  ag::Variable r = ag::Sigmoid(
-      ag::Add(ag::Slice(gx, -1, 0, hs), ag::Slice(gh, -1, 0, hs)));
-  ag::Variable u = ag::Sigmoid(
-      ag::Add(ag::Slice(gx, -1, hs, hs), ag::Slice(gh, -1, hs, hs)));
-  ag::Variable candidate = ag::Tanh(ag::Add(
-      ag::Slice(gx, -1, 2 * hs, hs), ag::Mul(r, ag::Slice(gh, -1, 2 * hs, hs))));
-  ag::Variable one_minus_u = ag::AddScalar(ag::Neg(u), 1.0f);
-  return ag::Add(ag::Mul(u, h), ag::Mul(one_minus_u, candidate));
 }
 
 TEST(FusedGruCellTest, ForwardAndGradMatchUnfusedChain) {
@@ -86,7 +73,7 @@ TEST(FusedGruCellTest, ForwardAndGradMatchUnfusedChain) {
     ag::Variable gh = ag::Variable::Leaf(gh0.Clone(), /*requires_grad=*/true);
     ag::Variable h = ag::Variable::Leaf(h0.Clone(), /*requires_grad=*/true);
     ag::Variable out = fused ? ag::FusedGruCell(gx, gh, h)
-                             : UnfusedGruTail(gx, gh, h, hs);
+                             : reference::GruCellTail(gx, gh, h);
     // Non-uniform upstream gradient so every element's chain rule is probed.
     ag::Variable loss = ag::SumAll(
         ag::Mul(out, ag::Variable::Leaf(upstream.Clone(), false)));
@@ -120,12 +107,7 @@ TEST(FusedLstmCellTest, ForwardAndGradMatchUnfusedChain) {
     if (fused) {
       ag::FusedLstmCell(gates, c_prev, &h_new, &c_new);
     } else {
-      ag::Variable i = ag::Sigmoid(ag::Slice(gates, -1, 0, hs));
-      ag::Variable f = ag::Sigmoid(ag::Slice(gates, -1, hs, hs));
-      ag::Variable g = ag::Tanh(ag::Slice(gates, -1, 2 * hs, hs));
-      ag::Variable o = ag::Sigmoid(ag::Slice(gates, -1, 3 * hs, hs));
-      c_new = ag::Add(ag::Mul(f, c_prev), ag::Mul(i, g));
-      h_new = ag::Mul(o, ag::Tanh(c_new));
+      reference::LstmCellTail(gates, c_prev, &h_new, &c_new);
     }
     // Send distinct gradients into both outputs, as the next step would.
     ag::Variable loss = ag::Add(
@@ -155,13 +137,8 @@ TEST(GruCombineTest, ForwardAndGradMatchUnfusedChain) {
     ag::Variable u = ag::Variable::Leaf(u0.Clone(), /*requires_grad=*/true);
     ag::Variable h = ag::Variable::Leaf(h0.Clone(), /*requires_grad=*/true);
     ag::Variable c = ag::Variable::Leaf(c0.Clone(), /*requires_grad=*/true);
-    ag::Variable out;
-    if (fused) {
-      out = ag::GruCombine(u, h, c);
-    } else {
-      ag::Variable one_minus_u = ag::AddScalar(ag::Neg(u), 1.0f);
-      out = ag::Add(ag::Mul(u, h), ag::Mul(one_minus_u, c));
-    }
+    ag::Variable out =
+        fused ? ag::GruCombine(u, h, c) : reference::GruCombine(u, h, c);
     ag::Variable loss = ag::SumAll(
         ag::Mul(out, ag::Variable::Leaf(upstream.Clone(), false)));
     loss.Backward();
@@ -169,11 +146,8 @@ TEST(GruCombineTest, ForwardAndGradMatchUnfusedChain) {
                                h.grad().Clone(), c.grad().Clone()};
   };
 
-  std::vector<Tensor> fused = run(true);
-  std::vector<Tensor> reference = run(false);
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_LE(MaxAbsDiff(fused[i], reference[i]), kGradTol) << "tensor " << i;
-  }
+  const std::vector<Tensor> fused = run(true);
+  ExpectAllNear(fused, run(false));
 }
 
 TEST(FusedGruGatesTest, ForwardAndGradMatchUnfusedChain) {
@@ -193,9 +167,7 @@ TEST(FusedGruGatesTest, ForwardAndGradMatchUnfusedChain) {
     if (fused) {
       ag::FusedGruGates(gates, h, &rh, &u);
     } else {
-      ag::Variable r = ag::Sigmoid(ag::Slice(gates, -1, 0, hs));
-      u = ag::Sigmoid(ag::Slice(gates, -1, hs, hs));
-      rh = ag::Mul(r, h);
+      reference::GruGates(gates, h, &rh, &u);
     }
     // Distinct upstream gradients into both outputs so each node's chain
     // rule (including the zero half of dgates) is probed independently.
@@ -207,11 +179,8 @@ TEST(FusedGruGatesTest, ForwardAndGradMatchUnfusedChain) {
                                gates.grad().Clone(), h.grad().Clone()};
   };
 
-  std::vector<Tensor> fused = run(true);
-  std::vector<Tensor> reference = run(false);
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_LE(MaxAbsDiff(fused[i], reference[i]), kGradTol) << "tensor " << i;
-  }
+  const std::vector<Tensor> fused = run(true);
+  ExpectAllNear(fused, run(false));
 }
 
 TEST(AdjacencyMatMulTest, ForwardAndGradMatchTransposeChain) {
@@ -230,16 +199,8 @@ TEST(AdjacencyMatMulTest, ForwardAndGradMatchTransposeChain) {
   auto run = [&](bool fused) {
     ag::Variable adj = ag::Variable::Leaf(adj0.Clone(), /*requires_grad=*/true);
     ag::Variable x = ag::Variable::Leaf(x0.Clone(), /*requires_grad=*/true);
-    ag::Variable out;
-    if (fused) {
-      out = ag::AdjacencyMatMul(adj, x);
-    } else {
-      // The legacy ApplyAdjacency chain: through [N, B*C] and back.
-      ag::Variable xt =
-          ag::Reshape(ag::Transpose(x, 0, 1), {n, batch * channels});
-      ag::Variable mixed = ag::MatMul(adj, xt);
-      out = ag::Transpose(ag::Reshape(mixed, {n, batch, channels}), 0, 1);
-    }
+    ag::Variable out = fused ? ag::AdjacencyMatMul(adj, x)
+                             : reference::AdjacencyMatMul(adj, x);
     ag::Variable loss = ag::SumAll(
         ag::Mul(out, ag::Variable::Leaf(upstream.Clone(), false)));
     loss.Backward();
@@ -254,18 +215,19 @@ TEST(AdjacencyMatMulTest, ForwardAndGradMatchTransposeChain) {
   EXPECT_LE(MaxAbsDiff(fused[2], reference[2]), kGradTol) << "d x";
 }
 
-// End-to-end wiring check: the whole cell (GEMMs included) agrees across the
-// fused/unfused paths, including the gradients that reach the parameters.
-TEST(FusedCellWiringTest, GruCellAgreesAcrossToggle) {
+// End-to-end wiring check: the whole cell (GEMMs included) agrees with the
+// unfused oracle, including the gradients that reach the parameters.
+TEST(FusedCellWiringTest, GruCellMatchesReference) {
   Rng rng(17);
   nn::GruCell cell(3, 4, rng);
   const Tensor x0 = Tensor::Randn({5, 3}, rng);
   const Tensor h0 = Tensor::Randn({5, 4}, rng);
 
   auto run = [&](bool fused) {
-    FusedScope scope(fused);
-    ag::Variable out = cell.Forward(ag::Variable::Leaf(x0.Clone(), false),
-                                    ag::Variable::Leaf(h0.Clone(), false));
+    const ag::Variable x = ag::Variable::Leaf(x0.Clone(), false);
+    const ag::Variable h = ag::Variable::Leaf(h0.Clone(), false);
+    ag::Variable out = fused ? cell.Forward(x, h)
+                             : reference::GruCellForward(cell, x, h);
     ag::Variable loss = ag::MeanAll(ag::Square(out));
     for (auto& p : cell.Parameters()) p.ZeroGrad();
     loss.Backward();
@@ -274,25 +236,22 @@ TEST(FusedCellWiringTest, GruCellAgreesAcrossToggle) {
     return result;
   };
 
-  std::vector<Tensor> fused = run(true);
-  std::vector<Tensor> reference = run(false);
-  ASSERT_EQ(fused.size(), reference.size());
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_LE(MaxAbsDiff(fused[i], reference[i]), kGradTol) << "tensor " << i;
-  }
+  const std::vector<Tensor> fused = run(true);
+  ExpectAllNear(fused, run(false));
 }
 
-TEST(FusedCellWiringTest, LstmCellAgreesAcrossToggle) {
+TEST(FusedCellWiringTest, LstmCellMatchesReference) {
   Rng rng(19);
   nn::LstmCell cell(3, 4, rng);
   const Tensor x0 = Tensor::Randn({5, 3}, rng);
 
   auto run = [&](bool fused) {
-    FusedScope scope(fused);
     nn::LstmCell::State state{ag::Variable::Leaf(Tensor::Zeros({5, 4}), false),
                               ag::Variable::Leaf(Tensor::Zeros({5, 4}), false)};
     for (int t = 0; t < 3; ++t) {
-      state = cell.Forward(ag::Variable::Leaf(x0.Clone(), false), state);
+      const ag::Variable x = ag::Variable::Leaf(x0.Clone(), false);
+      state = fused ? cell.Forward(x, state)
+                    : reference::LstmCellForward(cell, x, state);
     }
     ag::Variable loss = ag::MeanAll(ag::Square(state.h));
     for (auto& p : cell.Parameters()) p.ZeroGrad();
@@ -302,12 +261,8 @@ TEST(FusedCellWiringTest, LstmCellAgreesAcrossToggle) {
     return result;
   };
 
-  std::vector<Tensor> fused = run(true);
-  std::vector<Tensor> reference = run(false);
-  ASSERT_EQ(fused.size(), reference.size());
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_LE(MaxAbsDiff(fused[i], reference[i]), kGradTol) << "tensor " << i;
-  }
+  const std::vector<Tensor> fused = run(true);
+  ExpectAllNear(fused, run(false));
 }
 
 TEST(FusedOpsTest, NoGradModeReturnsDetachedLeaves) {
@@ -327,34 +282,51 @@ TEST(FusedOpsTest, NoGradModeReturnsDetachedLeaves) {
   EXPECT_FALSE(c_new.requires_grad());
 }
 
-// Eager backward release: for a 12-step rollout, dropping each node's grad
-// and closure as soon as it has propagated keeps the peak outstanding bytes
-// during Backward() strictly below the keep-everything sweep's peak.
-TEST(EagerBackwardReleaseTest, BoundsPeakMemoryOnGruRollout) {
+// Eager backward release: once Backward() has swept a 12-step rollout,
+// every non-leaf node has dropped its gradient buffer and its backward
+// closure (with the activations it captured), and the graph's exported
+// live bytes are exactly every node's data plus the leaf gradients.
+TEST(EagerBackwardReleaseTest, ReleasesNonLeafStateOnGruRollout) {
   Rng rng(29);
   nn::GruCell cell(8, 32, rng);
   const Tensor x0 = Tensor::Randn({16, 8}, rng);
-  TensorAllocator& allocator = TensorAllocator::Global();
+  ag::Variable h = ag::Variable::Leaf(Tensor::Zeros({16, 32}), false);
+  for (int t = 0; t < 12; ++t) {
+    h = cell.Forward(ag::Variable::Leaf(x0.Clone(), false), h);
+  }
+  ag::Variable loss = ag::MeanAll(ag::Square(h));
+  for (auto& p : cell.Parameters()) p.ZeroGrad();
+  loss.Backward();
 
-  auto peak_of_backward = [&](bool release) {
-    ag::EagerBackwardRelease::SetEnabled(release);
-    ag::Variable h = ag::Variable::Leaf(Tensor::Zeros({16, 32}), false);
-    for (int t = 0; t < 12; ++t) {
-      h = cell.Forward(ag::Variable::Leaf(x0.Clone(), false), h);
+  // Parent links survive the sweep, so the whole graph is still reachable.
+  std::vector<ag::Node*> stack{loss.node().get()};
+  std::set<ag::Node*> seen{loss.node().get()};
+  int64_t expected_bytes = 0;
+  int64_t non_leaf = 0;
+  while (!stack.empty()) {
+    ag::Node* node = stack.back();
+    stack.pop_back();
+    expected_bytes += node->data.numel() * static_cast<int64_t>(sizeof(float));
+    if (node->is_leaf) {
+      if (node->grad_defined) {
+        expected_bytes +=
+            node->grad.numel() * static_cast<int64_t>(sizeof(float));
+      }
+    } else {
+      ++non_leaf;
+      EXPECT_FALSE(node->grad_defined) << node->op_name;
+      EXPECT_FALSE(static_cast<bool>(node->backward_fn)) << node->op_name;
     }
-    ag::Variable loss = ag::MeanAll(ag::Square(h));
-    for (auto& p : cell.Parameters()) p.ZeroGrad();
-    allocator.ResetStats();  // high-water restarts at the post-forward level
-    loss.Backward();
-    const int64_t peak = allocator.GetStats().bytes_high_water;
-    ag::EagerBackwardRelease::SetEnabled(true);
-    return peak;
-  };
-
-  const int64_t peak_keep = peak_of_backward(false);
-  const int64_t peak_release = peak_of_backward(true);
-  EXPECT_LT(peak_release, peak_keep)
-      << "release=" << peak_release << " keep=" << peak_keep;
+    for (const auto& parent : node->parents) {
+      if (seen.insert(parent.get()).second) stack.push_back(parent.get());
+    }
+  }
+  EXPECT_GT(non_leaf, 12);
+  for (const auto& p : cell.Parameters()) EXPECT_TRUE(p.has_grad());
+  EXPECT_EQ(obs::Registry::Global()
+                .GetGauge("autograd.graph.live_bytes")
+                ->Get(),
+            static_cast<double>(expected_bytes));
 }
 
 // --- GEMM epilogues (DESIGN.md §8) --------------------------------------
@@ -516,7 +488,7 @@ TEST(MatMulBiasTest, ForwardAndGradMatchMatMulAddChain) {
     ag::Variable bias =
         ag::Variable::Leaf(bias0.Clone(), /*requires_grad=*/true);
     ag::Variable out = fused ? ag::MatMulBias(a, w, bias)
-                             : ag::Add(ag::MatMul(a, w), bias);
+                             : reference::MatMulBias(a, w, bias);
     ag::Variable loss = ag::SumAll(
         ag::Mul(out, ag::Variable::Leaf(upstream.Clone(), false)));
     loss.Backward();
@@ -524,44 +496,11 @@ TEST(MatMulBiasTest, ForwardAndGradMatchMatMulAddChain) {
                                w.grad().Clone(), bias.grad().Clone()};
   };
 
-  std::vector<Tensor> fused = run(true);
-  std::vector<Tensor> reference = run(false);
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_LE(MaxAbsDiff(fused[i], reference[i]), kGradTol) << "tensor " << i;
-  }
+  const std::vector<Tensor> fused = run(true);
+  ExpectAllNear(fused, run(false));
 }
 
 // --- fused gated convolution --------------------------------------------
-
-/// The unfused reference chain for a dilated conv + gating, mirroring
-/// EnhanceTcnLayer (tanh·σ, causal left pad) and Stgcn::TemporalGlu
-/// (GLU, valid conv) exactly.
-ag::Variable ReferenceGatedConv(const ag::Variable& x,
-                                const std::vector<ag::Variable>& taps,
-                                const ag::Variable& bias, int64_t dilation,
-                                int64_t pad_left, bool glu) {
-  const int64_t batch = x.size(0);
-  const int64_t n = x.size(1);
-  const int64_t time = x.size(2);
-  const int64_t c_in = x.size(3);
-  const int64_t kernel = static_cast<int64_t>(taps.size());
-  const int64_t t_out = time + pad_left - dilation * (kernel - 1);
-  const int64_t half = taps[0].size(1) / 2;
-  ag::Variable padded = pad_left > 0 ? ag::PadAxis(x, 2, pad_left, 0) : x;
-  ag::Variable conv;
-  for (int64_t k = 0; k < kernel; ++k) {
-    ag::Variable tap_in = ag::Slice(padded, 2, k * dilation, t_out);
-    ag::Variable flat = ag::Reshape(tap_in, {batch * n * t_out, c_in});
-    ag::Variable term = ag::MatMul(flat, taps[static_cast<size_t>(k)]);
-    conv = (k == 0) ? term : ag::Add(conv, term);
-  }
-  conv = ag::Add(conv, bias);
-  ag::Variable a = ag::Slice(conv, -1, 0, half);
-  ag::Variable b = ag::Slice(conv, -1, half, half);
-  ag::Variable z = glu ? ag::Mul(a, ag::Sigmoid(b))
-                       : ag::Mul(ag::Tanh(a), ag::Sigmoid(b));
-  return ag::Reshape(z, {batch, n, t_out, half});
-}
 
 /// Runs the fused-vs-reference comparison for shared-filter FusedGatedConv
 /// and checks forward + every input gradient to kGradTol.
@@ -591,7 +530,7 @@ void ExpectFusedGatedConvMatches(int64_t kernel, int64_t dilation,
                     x, ag::Concat(taps, 0), bias, kernel, dilation, pad_left,
                     glu ? ops::GemmEpilogue::kBiasGlu
                         : ops::GemmEpilogue::kBiasGatedTanhSigmoid)
-              : ReferenceGatedConv(x, taps, bias, dilation, pad_left, glu);
+              : reference::GatedConv(x, taps, bias, dilation, pad_left, glu);
     ag::Variable loss = ag::SumAll(
         ag::Mul(out, ag::Variable::Leaf(upstream.Clone(), false)));
     loss.Backward();
@@ -645,35 +584,12 @@ TEST(FusedGatedConvPerEntityTest, MatchesBatchMatMulChain) {
         ag::Variable::Leaf(filters0.Clone(), /*requires_grad=*/true);
     ag::Variable bias =
         ag::Variable::Leaf(bias0.Clone(), /*requires_grad=*/true);
-    ag::Variable out;
-    if (fused) {
-      out = ag::FusedGatedConvPerEntity(
-          x, filters, bias, kernel, dilation, pad_left,
-          ops::GemmEpilogue::kBiasGatedTanhSigmoid);
-    } else {
-      // EnhanceTcnLayer's unfused DFGN branch, verbatim.
-      std::vector<ag::Variable> taps;
-      for (int64_t k = 0; k < kernel; ++k) {
-        taps.push_back(ag::Reshape(
-            ag::Slice(filters, -1, k * c_in * 2 * half, c_in * 2 * half),
-            {n, c_in, 2 * half}));
-      }
-      ag::Variable padded = ag::PadAxis(x, 2, pad_left, 0);
-      ag::Variable conv;
-      for (int64_t k = 0; k < kernel; ++k) {
-        ag::Variable tap_in = ag::Slice(padded, 2, k * dilation, time);
-        ag::Variable by_entity =
-            ag::Reshape(ag::Transpose(tap_in, 0, 1), {n, batch * time, c_in});
-        ag::Variable mixed = ag::BatchMatMul(by_entity, taps[k]);
-        ag::Variable term = ag::Transpose(
-            ag::Reshape(mixed, {n, batch, time, 2 * half}), 0, 1);
-        conv = (k == 0) ? term : ag::Add(conv, term);
-      }
-      conv = ag::Add(conv, bias);
-      ag::Variable f = ag::Slice(conv, -1, 0, half);
-      ag::Variable g = ag::Slice(conv, -1, half, half);
-      out = ag::Mul(ag::Tanh(f), ag::Sigmoid(g));
-    }
+    ag::Variable out =
+        fused ? ag::FusedGatedConvPerEntity(
+                    x, filters, bias, kernel, dilation, pad_left,
+                    ops::GemmEpilogue::kBiasGatedTanhSigmoid)
+              : reference::GatedConvPerEntity(x, filters, bias, kernel,
+                                              dilation);
     ag::Variable loss = ag::SumAll(
         ag::Mul(out, ag::Variable::Leaf(upstream.Clone(), false)));
     loss.Backward();
@@ -689,7 +605,7 @@ TEST(FusedGatedConvPerEntityTest, MatchesBatchMatMulChain) {
   EXPECT_LE(MaxAbsDiff(fused[3], reference[3]), kGradTol) << "d bias";
 }
 
-// --- layer wiring (ENHANCENET_FUSED toggle) -----------------------------
+// --- layer wiring against the oracle ------------------------------------
 
 core::TcnLayerConfig SmallTcnLayerConfig() {
   core::TcnLayerConfig config;
@@ -699,20 +615,21 @@ core::TcnLayerConfig SmallTcnLayerConfig() {
   config.skip_channels = 6;
   config.kernel_size = 2;
   config.dilation = 2;
-  config.dropout = 0.0f;  // determinism across the toggle
+  config.dropout = 0.0f;  // determinism across the two forwards
   return config;
 }
 
-TEST(FusedTcnWiringTest, TcnLayerAgreesAcrossToggle) {
+TEST(FusedTcnWiringTest, TcnLayerMatchesReference) {
   Rng rng(71);
   core::EnhanceTcnLayer layer(SmallTcnLayerConfig(), nullptr, rng);
   const Tensor x0 = Tensor::Randn({2, 3, 8, 4}, rng);
   Rng fwd_rng(5);
 
   auto run = [&](bool fused) {
-    FusedScope scope(fused);
     ag::Variable x = ag::Variable::Leaf(x0.Clone(), /*requires_grad=*/true);
-    core::EnhanceTcnLayer::Output out = layer.Forward(x, {}, fwd_rng);
+    core::EnhanceTcnLayer::Output out =
+        fused ? layer.Forward(x, {}, fwd_rng)
+              : reference::TcnLayerForward(layer, x, {}, fwd_rng);
     ag::Variable loss = ag::Add(ag::MeanAll(ag::Square(out.skip)),
                                 ag::MeanAll(ag::Square(out.residual)));
     for (auto& p : layer.Parameters()) p.ZeroGrad();
@@ -723,15 +640,11 @@ TEST(FusedTcnWiringTest, TcnLayerAgreesAcrossToggle) {
     return result;
   };
 
-  std::vector<Tensor> fused = run(true);
-  std::vector<Tensor> reference = run(false);
-  ASSERT_EQ(fused.size(), reference.size());
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_LE(MaxAbsDiff(fused[i], reference[i]), kGradTol) << "tensor " << i;
-  }
+  const std::vector<Tensor> fused = run(true);
+  ExpectAllNear(fused, run(false));
 }
 
-TEST(FusedTcnWiringTest, DfgnLayerAgreesAcrossToggle) {
+TEST(FusedTcnWiringTest, DfgnLayerMatchesReference) {
   Rng rng(73);
   core::TcnLayerConfig config = SmallTcnLayerConfig();
   config.use_dfgn = true;
@@ -743,9 +656,10 @@ TEST(FusedTcnWiringTest, DfgnLayerAgreesAcrossToggle) {
   Rng fwd_rng(5);
 
   auto run = [&](bool fused) {
-    FusedScope scope(fused);
     ag::Variable x = ag::Variable::Leaf(x0.Clone(), /*requires_grad=*/true);
-    core::EnhanceTcnLayer::Output out = layer.Forward(x, {}, fwd_rng);
+    core::EnhanceTcnLayer::Output out =
+        fused ? layer.Forward(x, {}, fwd_rng)
+              : reference::TcnLayerForward(layer, x, {}, fwd_rng);
     ag::Variable loss = ag::Add(ag::MeanAll(ag::Square(out.skip)),
                                 ag::MeanAll(ag::Square(out.residual)));
     for (auto& p : layer.Parameters()) p.ZeroGrad();
@@ -758,12 +672,96 @@ TEST(FusedTcnWiringTest, DfgnLayerAgreesAcrossToggle) {
     return result;
   };
 
-  std::vector<Tensor> fused = run(true);
-  std::vector<Tensor> reference = run(false);
-  ASSERT_EQ(fused.size(), reference.size());
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_LE(MaxAbsDiff(fused[i], reference[i]), kGradTol) << "tensor " << i;
-  }
+  const std::vector<Tensor> fused = run(true);
+  ExpectAllNear(fused, run(false));
+}
+
+// A GTCN layer: the gated conv feeds a graph convolution over one static
+// [N,N] support and one dynamic [B·T,N,N] support, then the projections.
+TEST(FusedTcnWiringTest, GraphConvLayerMatchesReference) {
+  Rng rng(75);
+  core::TcnLayerConfig config = SmallTcnLayerConfig();
+  config.num_supports = 2;
+  config.skip_last_only = true;
+  core::EnhanceTcnLayer layer(config, nullptr, rng);
+  const Tensor x0 = Tensor::Randn({2, 3, 8, 4}, rng);
+  const std::vector<graph::Support> supports = {
+      ag::Variable::Leaf(Tensor::Randn({3, 3}, rng), false),
+      ag::Variable::Leaf(Tensor::Randn({2 * 8, 3, 3}, rng), false)};
+  Rng fwd_rng(5);
+
+  auto run = [&](bool fused) {
+    ag::Variable x = ag::Variable::Leaf(x0.Clone(), /*requires_grad=*/true);
+    core::EnhanceTcnLayer::Output out =
+        fused ? layer.Forward(x, supports, fwd_rng)
+              : reference::TcnLayerForward(layer, x, supports, fwd_rng);
+    ag::Variable loss = ag::Add(ag::MeanAll(ag::Square(out.skip)),
+                                ag::MeanAll(ag::Square(out.residual)));
+    for (auto& p : layer.Parameters()) p.ZeroGrad();
+    loss.Backward();
+    std::vector<Tensor> result{out.skip.data().Clone(),
+                               out.residual.data().Clone(), x.grad().Clone()};
+    for (const auto& p : layer.Parameters()) result.push_back(p.grad().Clone());
+    return result;
+  };
+
+  const std::vector<Tensor> fused = run(true);
+  ExpectAllNear(fused, run(false));
+}
+
+// The enhanced GRU cell (the D-DA-GRNN step): graph convolution over a
+// static and a dynamic support, shared or DFGN-generated filters, fused r/u
+// gates and state combine, against the unfused chain.
+void ExpectEnhanceGruCellMatchesReference(bool use_dfgn, uint64_t seed) {
+  Rng rng(seed);
+  const int64_t batch = 2, n = 4, c_in = 3, hidden = 5;
+  core::GruCellConfig config;
+  config.num_entities = n;
+  config.in_channels = c_in;
+  config.hidden = hidden;
+  config.num_supports = 2;
+  config.use_dfgn = use_dfgn;
+  config.dfgn_hidden1 = 6;
+  config.dfgn_hidden2 = 3;
+  ag::Variable memory = ag::Variable::Leaf(Tensor::Randn({n, 4}, rng),
+                                           /*requires_grad=*/true);
+  core::EnhanceGruCell cell(config, &memory, rng);
+  const Tensor x0 = Tensor::Randn({batch, n, c_in}, rng);
+  const Tensor h0 = Tensor::Randn({batch, n, hidden}, rng);
+  const Tensor static0 = Tensor::Randn({n, n}, rng);
+  const Tensor dynamic0 = Tensor::Randn({batch, n, n}, rng);
+
+  auto run = [&](bool fused) {
+    ag::Variable x = ag::Variable::Leaf(x0.Clone(), /*requires_grad=*/true);
+    ag::Variable h = ag::Variable::Leaf(h0.Clone(), /*requires_grad=*/true);
+    ag::Variable dynamic =
+        ag::Variable::Leaf(dynamic0.Clone(), /*requires_grad=*/true);
+    const std::vector<graph::Support> supports = {
+        ag::Variable::Leaf(static0.Clone(), false), dynamic};
+    ag::Variable out =
+        fused ? cell.Forward(x, h, supports)
+              : reference::EnhanceGruCellForward(cell, x, h, supports);
+    ag::Variable loss = ag::MeanAll(ag::Square(out));
+    for (auto& p : cell.Parameters()) p.ZeroGrad();
+    memory.ZeroGrad();
+    loss.Backward();
+    std::vector<Tensor> result{out.data().Clone(), x.grad().Clone(),
+                               h.grad().Clone(), dynamic.grad().Clone()};
+    if (use_dfgn) result.push_back(memory.grad().Clone());
+    for (const auto& p : cell.Parameters()) result.push_back(p.grad().Clone());
+    return result;
+  };
+
+  const std::vector<Tensor> fused = run(true);
+  ExpectAllNear(fused, run(false));
+}
+
+TEST(FusedCellWiringTest, EnhanceGruCellMatchesReference) {
+  ExpectEnhanceGruCellMatchesReference(/*use_dfgn=*/false, /*seed=*/97);
+}
+
+TEST(FusedCellWiringTest, DfgnEnhanceGruCellMatchesReference) {
+  ExpectEnhanceGruCellMatchesReference(/*use_dfgn=*/true, /*seed=*/101);
 }
 
 // The satellite bugfix: projecting only t = T−1 through skip_proj_ must give
@@ -854,9 +852,6 @@ TEST(FusedThreadInvarianceTest, GatedConvAndEpilogueGemmBitwise) {
 // Workspace.
 TEST(FusedTcnAllocatorTest, TcnTrainStepsAllocFreeAfterWarmup) {
   TensorAllocator& allocator = TensorAllocator::Global();
-  const bool was_caching = allocator.caching_enabled();
-  allocator.set_caching_enabled(true);
-
   const int64_t entities = 8;
   data::CtsData data = data::MakeEbLike(entities, /*days=*/2, /*seed=*/7);
   const int64_t train_end = data.num_steps() * 7 / 10;
@@ -900,8 +895,6 @@ TEST(FusedTcnAllocatorTest, TcnTrainStepsAllocFreeAfterWarmup) {
   EXPECT_EQ(stats.pool_misses + stats.oversize, 0)
       << "steady-state TCN steps must be allocation-free: misses="
       << stats.pool_misses << " oversize=" << stats.oversize;
-
-  allocator.set_caching_enabled(was_caching);
 }
 
 }  // namespace

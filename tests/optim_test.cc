@@ -5,9 +5,9 @@
 #include <memory>
 #include <vector>
 
-#include "autograd/grad_mode.h"
 #include "autograd/ops.h"
 #include "gtest/gtest.h"
+#include "reference/reference.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -112,7 +112,7 @@ TEST(OptimizerTest, SetLrTakesEffect) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused (ParallelFor) vs scalar-loop steps: bitwise identity
+// ParallelFor steps vs the scalar-loop oracle: bitwise identity
 // ---------------------------------------------------------------------------
 
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
@@ -121,83 +121,72 @@ bool BitwiseEqual(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
-/// Runs `steps` optimizer steps over two parameters (one left gradient-free
-/// on odd steps to exercise the skip path) and returns the final data.
+/// Runs `steps` optimizer steps over three parameters (the second left
+/// gradient-free on odd steps to exercise the skip path; the third larger
+/// than one ParallelFor grain, so the sweep really splits) and returns the
+/// final data.
 template <typename MakeOptimizer>
-std::vector<Tensor> RunSteps(MakeOptimizer make_optimizer, bool fused,
-                             int steps) {
-  ag::FusedKernels::SetEnabled(fused);
+std::vector<Tensor> RunSteps(MakeOptimizer make_optimizer, int steps) {
   Rng rng(77);
   ag::Variable a = ag::Variable::Leaf(Tensor::Randn({1000}, rng), true);
   ag::Variable b = ag::Variable::Leaf(Tensor::Randn({37}, rng), true);
-  auto optimizer = make_optimizer(std::vector<ag::Variable>{a, b});
+  ag::Variable c = ag::Variable::Leaf(Tensor::Randn({40000}, rng), true);
+  std::unique_ptr<optim::Optimizer> optimizer =
+      make_optimizer(std::vector<ag::Variable>{a, b, c});
   Rng grad_rng(99);
   for (int i = 0; i < steps; ++i) {
     optimizer->ZeroGrad();
     a.AccumulateGrad(Tensor::Randn({1000}, grad_rng));
     if (i % 2 == 0) b.AccumulateGrad(Tensor::Randn({37}, grad_rng));
+    c.AccumulateGrad(Tensor::Randn({40000}, grad_rng));
     optimizer->Step();
   }
-  ag::FusedKernels::SetEnabled(true);
-  return {a.data().Clone(), b.data().Clone()};
+  return {a.data().Clone(), b.data().Clone(), c.data().Clone()};
+}
+
+/// Production optimizer vs scalar-loop oracle, bitwise on every parameter.
+template <typename Production, typename Reference, typename... Args>
+void ExpectBitwiseMatchesScalarLoop(Args... args) {
+  const std::vector<Tensor> fused =
+      RunSteps([&](std::vector<ag::Variable> params) {
+        return std::make_unique<Production>(std::move(params), args...);
+      }, 7);
+  const std::vector<Tensor> scalar =
+      RunSteps([&](std::vector<ag::Variable> params) {
+        return std::make_unique<Reference>(std::move(params), args...);
+      }, 7);
+  for (size_t i = 0; i < fused.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(fused[i], scalar[i])) << "param " << i;
+  }
 }
 
 TEST(FusedOptimizerTest, SgdPlainBitwiseMatchesScalarLoop) {
-  auto make = [](std::vector<ag::Variable> params) {
-    return std::make_unique<optim::Sgd>(std::move(params), 0.05f);
-  };
-  std::vector<Tensor> fused = RunSteps(make, /*fused=*/true, 7);
-  std::vector<Tensor> scalar = RunSteps(make, /*fused=*/false, 7);
-  EXPECT_TRUE(BitwiseEqual(fused[0], scalar[0]));
-  EXPECT_TRUE(BitwiseEqual(fused[1], scalar[1]));
+  ExpectBitwiseMatchesScalarLoop<optim::Sgd, reference::ScalarSgd>(0.05f);
 }
 
 TEST(FusedOptimizerTest, SgdMomentumBitwiseMatchesScalarLoop) {
-  auto make = [](std::vector<ag::Variable> params) {
-    return std::make_unique<optim::Sgd>(std::move(params), 0.05f,
-                                        /*momentum=*/0.9f);
-  };
-  std::vector<Tensor> fused = RunSteps(make, /*fused=*/true, 7);
-  std::vector<Tensor> scalar = RunSteps(make, /*fused=*/false, 7);
-  EXPECT_TRUE(BitwiseEqual(fused[0], scalar[0]));
-  EXPECT_TRUE(BitwiseEqual(fused[1], scalar[1]));
+  ExpectBitwiseMatchesScalarLoop<optim::Sgd, reference::ScalarSgd>(
+      0.05f, /*momentum=*/0.9f);
 }
 
 TEST(FusedOptimizerTest, AdamBitwiseMatchesScalarLoop) {
-  auto make = [](std::vector<ag::Variable> params) {
-    return std::make_unique<optim::Adam>(std::move(params), 0.01f);
-  };
-  std::vector<Tensor> fused = RunSteps(make, /*fused=*/true, 7);
-  std::vector<Tensor> scalar = RunSteps(make, /*fused=*/false, 7);
-  EXPECT_TRUE(BitwiseEqual(fused[0], scalar[0]));
-  EXPECT_TRUE(BitwiseEqual(fused[1], scalar[1]));
+  ExpectBitwiseMatchesScalarLoop<optim::Adam, reference::ScalarAdam>(0.01f);
 }
 
 TEST(FusedOptimizerTest, AdamWeightDecayBitwiseMatchesScalarLoop) {
-  auto make = [](std::vector<ag::Variable> params) {
-    return std::make_unique<optim::Adam>(std::move(params), 0.01f, 0.9f,
-                                         0.999f, 1e-8f,
-                                         /*weight_decay=*/0.01f);
-  };
-  std::vector<Tensor> fused = RunSteps(make, /*fused=*/true, 7);
-  std::vector<Tensor> scalar = RunSteps(make, /*fused=*/false, 7);
-  EXPECT_TRUE(BitwiseEqual(fused[0], scalar[0]));
-  EXPECT_TRUE(BitwiseEqual(fused[1], scalar[1]));
+  ExpectBitwiseMatchesScalarLoop<optim::Adam, reference::ScalarAdam>(
+      0.01f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/0.01f);
 }
 
 TEST(FusedOptimizerTest, SgdMomentumSkipsParametersWithoutGradient) {
-  for (const bool fused : {true, false}) {
-    ag::FusedKernels::SetEnabled(fused);
-    ag::Variable a = ag::Variable::Leaf(Tensor::Ones({2}), true);
-    ag::Variable b = ag::Variable::Leaf(Tensor::Ones({2}), true);
-    optim::Sgd sgd({a, b}, 0.1f, /*momentum=*/0.9f);
-    a.AccumulateGrad(Tensor::Ones({2}));
-    sgd.Step();
-    EXPECT_NE(a.data().data()[0], 1.0f);
-    // No gradient: no velocity decay, no parameter touch.
-    EXPECT_EQ(b.data().data()[0], 1.0f);
-  }
-  ag::FusedKernels::SetEnabled(true);
+  ag::Variable a = ag::Variable::Leaf(Tensor::Ones({2}), true);
+  ag::Variable b = ag::Variable::Leaf(Tensor::Ones({2}), true);
+  optim::Sgd sgd({a, b}, 0.1f, /*momentum=*/0.9f);
+  a.AccumulateGrad(Tensor::Ones({2}));
+  sgd.Step();
+  EXPECT_NE(a.data().data()[0], 1.0f);
+  // No gradient: no velocity decay, no parameter touch.
+  EXPECT_EQ(b.data().data()[0], 1.0f);
 }
 
 // ---------------------------------------------------------------------------

@@ -61,23 +61,13 @@ TEST(RuntimeEnvDeathTest, OutOfRangeNumThreadsDies) {
       "ENHANCENET_NUM_THREADS must be an integer in \\[1, 4096\\]");
 }
 
-TEST(RuntimeEnvDeathTest, MalformedAllocatorChoiceDies) {
-  EXPECT_DEATH(
-      {
-        setenv("ENHANCENET_ALLOCATOR", "bogus", /*overwrite=*/1);
-        // First Default() touch parses the allocator choice eagerly.
-        TensorAllocator::Global();
-      },
-      "ENHANCENET_ALLOCATOR must be");
-}
-
 TEST(RuntimeEnvDeathTest, MalformedBoolDies) {
   EXPECT_DEATH(
       {
-        setenv("ENHANCENET_FUSED", "maybe", /*overwrite=*/1);
-        runtime::EnvFusedKernels();
+        setenv("ENHANCENET_PROFILE", "maybe", /*overwrite=*/1);
+        runtime::EnvProfiling();
       },
-      "ENHANCENET_FUSED must be one of");
+      "ENHANCENET_PROFILE must be one of");
 }
 
 TEST(RuntimeEnvDeathTest, MalformedShardsDies) {
@@ -120,9 +110,6 @@ TEST(RuntimeEnvTest, DefaultsWhenUnset) {
   // The harness does not set ENHANCENET_* for tests, so the accessors see
   // unset variables and produce the documented defaults.
   EXPECT_GE(runtime::EnvNumThreads(), 1);
-  EXPECT_TRUE(runtime::EnvAllocatorCaching());
-  EXPECT_TRUE(runtime::EnvFusedKernels());
-  EXPECT_TRUE(runtime::EnvEagerRelease());
   EXPECT_FALSE(runtime::EnvProfiling());
   EXPECT_EQ(runtime::EnvShards(), 1);  // single-context execution by default
   EXPECT_EQ(runtime::EnvSloMs(), 0.0);  // no process-wide SLO by default
@@ -433,17 +420,16 @@ class ConcurrentServeTest : public ::testing::Test {
     scaler_.Fit(data_.series, 0, data_.num_steps() * 7 / 10);
   }
 
-  serve::SessionConfig Config() const {
-    serve::SessionConfig config;
-    config.model_name = "D-GRNN";
-    config.num_entities = kEntities;
-    config.in_channels = 1;
-    config.target_channel = 0;
-    config.adjacency = adjacency_;
-    config.sizing = TinySizing();
-    config.checkpoint_path.clear();  // fresh weights: fine for this test
-    config.seed = 77;
-    return config;
+  serve::ModelSpec Spec() const {
+    serve::ModelSpec spec;
+    spec.model_name = "D-GRNN";
+    spec.num_entities = kEntities;
+    spec.in_channels = 1;
+    spec.target_channel = 0;
+    spec.adjacency = adjacency_;
+    spec.sizing = TinySizing();
+    spec.checkpoint_path.clear();  // fresh weights: fine for this test
+    return spec;
   }
 
   static models::ModelSizing TinySizing() {
@@ -458,8 +444,10 @@ class ConcurrentServeTest : public ::testing::Test {
 
   std::unique_ptr<serve::InferenceSession> MakeSession() {
     std::unique_ptr<serve::InferenceSession> session;
+    serve::SessionOptions options;
+    options.seed = 77;
     const Status status =
-        serve::InferenceSession::Create(Config(), scaler_, &session);
+        serve::InferenceSession::Create(Spec(), options, scaler_, &session);
     EXPECT_TRUE(status.ok()) << status.ToString();
     return session;
   }

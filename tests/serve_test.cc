@@ -254,28 +254,6 @@ TEST_F(ServeTest, BadTargetChannelIsStatus) {
             StatusCode::kInvalidArgument);
 }
 
-// The deprecated SessionConfig shim (spec + options in one struct) keeps
-// old call sites compiling for one release and must serve identically.
-TEST_F(ServeTest, DeprecatedSessionConfigShimStillServes) {
-  serve::SessionConfig config;
-  static_cast<serve::ModelSpec&>(config) = Spec();
-  config.seed = 999;
-  std::unique_ptr<serve::InferenceSession> session;
-  const Status status =
-      serve::InferenceSession::Create(config, scaler_, &session);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  auto reference = MakeSession();
-  serve::PredictRequest request;
-  request.history = RawWindow(85);
-  serve::PredictResponse via_shim, via_spec;
-  ASSERT_TRUE(session->Predict(request, &via_shim).ok());
-  ASSERT_TRUE(reference->Predict(request, &via_spec).ok());
-  for (int64_t i = 0; i < via_spec.forecast.numel(); ++i) {
-    EXPECT_EQ(via_shim.forecast.data()[i], via_spec.forecast.data()[i]);
-  }
-}
-
 TEST_F(ServeTest, WrongRankIsRejected) {
   auto session = MakeSession();
   serve::PredictRequest request;

@@ -33,6 +33,7 @@
 #include "graph/sparse_adjacency.h"
 #include "models/model_factory.h"
 #include "optim/optimizer.h"
+#include "reference/reference.h"
 #include "runtime/allocator.h"
 #include "runtime/context.h"
 #include "runtime/parallel.h"
@@ -333,8 +334,7 @@ TEST(SparseTest, AttentionProbsMatchesUnfusedChain) {
 
   ag::Variable us = ag::Variable::Leaf(src.Clone(), true);
   ag::Variable ud = ag::Variable::Leaf(dst.Clone(), true);
-  ag::Variable unfused =
-      ag::SoftmaxLastDim(ag::BatchMatMul(us, ag::Transpose(ud, 1, 2)));
+  ag::Variable unfused = reference::AttentionProbs(us, ud);
   ag::SumAll(ag::Mul(unfused, ag::Variable::Leaf(weight, false))).Backward();
 
   // Forward is bitwise identical (same Into kernels under the hood).
@@ -384,14 +384,14 @@ TEST(SparseTest, DynamicCAllMaskedRowsStayFinite) {
   const ag::Variable x = ag::Variable::Leaf(Tensor::Ones({1, n, c}), false);
   const float uniform = 1.0f / static_cast<float>(n);
   {
-    ag::NoGradGuard no_grad;  // fused AttentionProbs path
+    ag::NoGradGuard no_grad;  // workspace-backed AttentionProbs result
     const Tensor probs = damgn.DynamicC(x).data();
     for (int64_t i = 0; i < probs.numel(); ++i) {
       EXPECT_EQ(probs.data()[i], uniform) << "element " << i;
     }
   }
   {
-    const Tensor probs = damgn.DynamicC(x).data();  // recorded unfused path
+    const Tensor probs = damgn.DynamicC(x).data();  // recorded graph node
     for (int64_t i = 0; i < probs.numel(); ++i) {
       EXPECT_EQ(probs.data()[i], uniform) << "element " << i;
     }
@@ -521,8 +521,6 @@ TEST(SparseTest, SparseTrainingStepsAreAllocationFree) {
   runtime::RuntimeContext context(options);
   context.exec().topk.store(4, std::memory_order_relaxed);
   runtime::RuntimeContext::Bind bind(context);
-  ag::FusedKernels::SetEnabled(true);           // private exec: no restore
-  ag::EagerBackwardRelease::SetEnabled(true);
 
   const int64_t entities = 12, batch_size = 2;
   data::CtsData data = data::MakeEbLike(entities, 2, /*seed=*/7);
