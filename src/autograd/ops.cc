@@ -745,85 +745,23 @@ void FusedGruGates(const Variable& gates, const Variable& h, Variable* rh,
 Variable AdjacencyMatMul(const Variable& adj, const Variable& x) {
   ENHANCENET_CHECK_EQ(adj.data().dim(), 2);
   ENHANCENET_CHECK_EQ(x.data().dim(), 3);
-  const int64_t batch = x.size(0);
   const int64_t n = x.size(1);
-  const int64_t channels = x.size(2);
   ENHANCENET_CHECK_EQ(adj.size(0), n);
   ENHANCENET_CHECK_EQ(adj.size(1), n);
 
-  Tensor out = Tensor::Uninitialized(x.shape());
-  {
-    const float* pa = adj.data().data();
-    const float* px = x.data().data();
-    float* po = out.data();
-    ParallelFor(0, batch * n, RowGrain(channels), [=](int64_t r0, int64_t r1) {
-      for (int64_t row = r0; row < r1; ++row) {
-        const int64_t b = row / n;
-        const int64_t i = row % n;
-        float* orow = po + row * channels;
-        std::fill(orow, orow + channels, 0.0f);
-        const float* arow = pa + i * n;
-        const float* xb = px + b * n * channels;
-        for (int64_t j = 0; j < n; ++j) {
-          const float a = arow[j];
-          if (a == 0.0f) continue;  // diffusion supports are often sparse
-          const float* xrow = xb + j * channels;
-          for (int64_t c = 0; c < channels; ++c) orow[c] += a * xrow[c];
-        }
-      }
-    });
-  }
-
+  // out[b] = adj · x[b], one tiled GEMM per slice (batched ≡ single).
   return MakeResult(
-      std::move(out), "adj_matmul", {adj, x},
-      [adj, x, batch, n, channels](const Tensor& g) {
-        const float* pg = g.data();
-        const float* pa = adj.data().data();
-        const float* px = x.data().data();
+      ops::BatchGemmSharedA(adj.data(), x.data(), /*trans_a=*/false),
+      "adj_matmul", {adj, x}, [adj, x](const Tensor& g) {
         if (x.requires_grad()) {
-          // dx[b,j,:] = Σ_i adj[i,j] · g[b,i,:]  (Aᵀ applied in-layout).
-          Tensor dx = Tensor::Uninitialized(x.shape());
-          float* pdx = dx.data();
-          ParallelFor(0, batch * n, RowGrain(channels),
-                      [=](int64_t r0, int64_t r1) {
-                        for (int64_t row = r0; row < r1; ++row) {
-                          const int64_t b = row / n;
-                          const int64_t j = row % n;
-                          float* drow = pdx + row * channels;
-                          std::fill(drow, drow + channels, 0.0f);
-                          const float* gb = pg + b * n * channels;
-                          for (int64_t i = 0; i < n; ++i) {
-                            const float a = pa[i * n + j];
-                            if (a == 0.0f) continue;
-                            const float* grow = gb + i * channels;
-                            for (int64_t c = 0; c < channels; ++c) {
-                              drow[c] += a * grow[c];
-                            }
-                          }
-                        }
-                      });
-          MaybeAccumulate(x, std::move(dx));
+          // dx[b] = adjᵀ · g[b].
+          MaybeAccumulate(x, ops::BatchGemmSharedA(adj.data(), g,
+                                                   /*trans_a=*/true));
         }
         if (adj.requires_grad()) {
-          // dA[i,j] = Σ_b Σ_c g[b,i,c] · x[b,j,c].
-          Tensor da = Tensor::Uninitialized(adj.shape());
-          float* pda = da.data();
-          ParallelFor(0, n, RowGrain(n), [=](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i) {
-              for (int64_t j = 0; j < n; ++j) {
-                float s = 0.0f;
-                for (int64_t b = 0; b < batch; ++b) {
-                  const float* grow = pg + (b * n + i) * channels;
-                  const float* xrow = px + (b * n + j) * channels;
-                  for (int64_t c = 0; c < channels; ++c) {
-                    s += grow[c] * xrow[c];
-                  }
-                }
-                pda[i * n + j] = s;
-              }
-            }
-          });
-          MaybeAccumulate(adj, std::move(da));
+          // dadj = Σ_b g[b] · x[b]ᵀ, summed in ascending b.
+          MaybeAccumulate(adj, ops::BatchGemmSum(g, x.data(), /*trans_a=*/false,
+                                                 /*trans_b=*/true));
         }
       });
 }

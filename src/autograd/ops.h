@@ -155,7 +155,11 @@ Variable FusedGatedConvPerEntity(const Variable& x, const Variable& filters,
 /// adj[i,j] · x[b,j,:] with adj [N,N] and x [B,N,C], computed directly in
 /// [B,N,C] layout. Replaces the Transpose/Reshape/MatMul/Reshape/Transpose
 /// five-node chain (and its two full-tensor copies in each direction) that
-/// the unfused path pays per support application.
+/// the unfused path pays per support application. Every direction runs on
+/// the tiled GEMM (ops::BatchGemmSharedA / BatchGemmSum): each output slice
+/// is bitwise equal to the same op on that slice alone, and to any row
+/// block of it computed on its own (the entity-sharded apply, DESIGN.md
+/// §12).
 Variable AdjacencyMatMul(const Variable& adj, const Variable& x);
 
 // --- sparse dynamic adjacency ------------------------------------------------

@@ -59,6 +59,11 @@ autograd::Variable ApplySupport(const Support& support,
 /// This reduces graph convolution Z = Σ_s A_s·X·S_s (Equation 12 generalized
 /// to a support set) to a single channel-mixing matmul, which can then be
 /// shared (Linear) or entity-specific (DFGN-generated bank).
+///
+/// Sparse supports with the same hop operator (every hop count one
+/// Damgn::CombinedSupports call returns for one direction) share one hop
+/// chain: the h-hop term is one hop past the (h−1)-hop term instead of h
+/// hops from x. Outputs are bitwise equal to independent ApplySupport calls.
 autograd::Variable MixSupports(const autograd::Variable& x,
                                const std::vector<Support>& supports,
                                bool include_self);

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "runtime/parallel.h"
+#include "tensor/tensor_ops.h"
 
 namespace enhancenet {
 namespace shard {
@@ -70,40 +71,18 @@ Tensor EntityShardedExecutor::ApplyDense(const Tensor& adj, const Tensor& x) {
   ENHANCENET_CHECK_EQ(plan_.num_entities, n);
 
   Tensor out = Tensor::Uninitialized(x.shape());  // owner-context storage
-  const float* pa = adj.data();
-  const float* px = x.data();
   float* po = out.data();
 
   for (int s = 0; s < plan_.num_shards(); ++s) {
     runtime::RuntimeContext::Bind bind(*contexts_[s]);
     const int64_t b0 = plan_.begin(s);
     const int64_t sz = plan_.size(s);
-    // Stage the shard's output rows in a shard-local slab, then merge. The
-    // slab is the shard's execution placement: its bytes live (and pool) on
-    // this shard's allocator, not the session's.
-    Tensor slab = Tensor::Uninitialized({batch, sz, channels});
-    float* ps = slab.data();
-    ParallelFor(0, batch * sz, RowGrain(channels),
-                [=](int64_t r0, int64_t r1) {
-                  for (int64_t rr = r0; rr < r1; ++rr) {
-                    const int64_t b = rr / sz;
-                    const int64_t i = b0 + rr % sz;
-                    float* orow = ps + rr * channels;
-                    std::fill(orow, orow + channels, 0.0f);
-                    // The AdjacencyMatMul inner loop verbatim: ascending j,
-                    // zero-skip — same operands, same order, same bits.
-                    const float* arow = pa + i * n;
-                    const float* xb = px + b * n * channels;
-                    for (int64_t j = 0; j < n; ++j) {
-                      const float a = arow[j];
-                      if (a == 0.0f) continue;
-                      const float* xrow = xb + j * channels;
-                      for (int64_t c = 0; c < channels; ++c) {
-                        orow[c] += a * xrow[c];
-                      }
-                    }
-                  }
-                });
+    // The shard's rows of the single-context GEMM, staged in a shard-local
+    // slab, then merged. The slab is the shard's execution placement: its
+    // bytes live (and pool) on this shard's allocator, not the session's.
+    const Tensor slab =
+        ops::BatchGemmSharedA(adj, x, /*trans_a=*/false, b0, sz);
+    const float* ps = slab.data();
     ParallelFor(0, batch * sz, RowGrain(channels),
                 [=](int64_t r0, int64_t r1) {
                   for (int64_t rr = r0; rr < r1; ++rr) {

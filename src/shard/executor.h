@@ -30,10 +30,11 @@ namespace shard {
 ///
 /// Bitwise contract: shard kernels iterate exactly the row slices of the
 /// single-context kernels with the same per-row operand order (CSR entry
-/// order survives the halo remap; the dense inner loop is the AdjacencyMatMul
-/// loop verbatim), so any shard count S >= 1 produces bit-identical output
-/// to shards=1. Shards execute in plan order; within a shard, rows
-/// parallelize under the usual ownership contract.
+/// order survives the halo remap; the dense apply runs AdjacencyMatMul's
+/// tiled GEMM on the shard's row block, whose rows keep their bits), so any
+/// shard count S >= 1 produces bit-identical output to shards=1. Shards
+/// execute in plan order; within a shard, rows parallelize under the usual
+/// ownership contract.
 ///
 /// Scope: serving/no-grad forwards. The routing sites (graph::ApplyAdjacency
 /// and graph::ApplySparseAdjacency) fall back to the single-context kernels

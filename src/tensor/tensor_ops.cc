@@ -919,12 +919,28 @@ EpilogueArgs SliceEpilogue(const EpilogueArgs& base, int64_t i, int64_t m,
   return e;
 }
 
+// Zero-copy operand of the batched kernels: slice i is the dense block at
+// data + i*stride with leading dim ld (slice i of a dense [B, R, C] tensor
+// sits at offset i*R*C). Stride 0 shares one operand across every slice.
+struct SliceOperand {
+  const float* data;
+  int64_t stride;
+  int64_t ld;
+};
+
+SliceOperand Slices(const Tensor& t) {
+  return {t.data(), t.size(1) * t.size(2), t.size(2)};
+}
+
 // Runs the batched product into `pc`, which must point at batch*m*n ZEROED
 // floats — the inner kernels accumulate C += op(A)*op(B). A non-null `epi`
 // holds batch-base pointers; each slice's epilogue is applied inside the
-// chunk that computes that slice.
-void BatchGemmIntoRaw(const Tensor& a, const Tensor& b, bool trans_a,
-                      bool trans_b, const BatchGemmDims& d, float* pc,
+// chunk that computes that slice. `regime_flops` picks the kernel: one
+// slice's 2*m*k*n, except for a row block of a shared operand, which takes
+// the regime of the whole product so its rows keep their bits.
+void BatchGemmIntoRaw(SliceOperand a, bool trans_a, SliceOperand b,
+                      bool trans_b, const BatchGemmDims& d,
+                      int64_t regime_flops, float* pc,
                       const EpilogueArgs* epi = nullptr) {
   const int64_t batch = d.batch;
   const int64_t m = d.m;
@@ -936,38 +952,29 @@ void BatchGemmIntoRaw(const Tensor& a, const Tensor& b, bool trans_a,
     profile.batch_gemm_slices->Add(batch);
     profile.batch_gemm_flops->Add(batch * 2 * m * k * n);
   }
-  // Zero-copy per-slice pointers: slice i of a dense [B, R, C] tensor is the
-  // dense [R, C] block at offset i*R*C.
-  const int64_t a_stride = a.size(1) * a.size(2);
-  const int64_t b_stride = b.size(1) * b.size(2);
   const int64_t c_stride = m * n;
-  const int64_t lda = a.size(2);
-  const int64_t ldb = b.size(2);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  const int64_t slice_flops = 2 * m * k * n;
-  if (slice_flops > kSmallGemmFlops) {
+  if (regime_flops > kSmallGemmFlops) {
     // Big slices: let the tiled kernel parallelize over rows inside each
     // slice (batch is often smaller than the thread count here).
     for (int64_t i = 0; i < batch; ++i) {
       if (epi) {
         const EpilogueArgs se = SliceEpilogue(*epi, i, m, n);
-        GemmTiled(pa + i * a_stride, lda, trans_a, pb + i * b_stride, ldb,
-                  trans_b, pc + i * c_stride, m, k, n, &se);
+        GemmTiled(a.data + i * a.stride, a.ld, trans_a, b.data + i * b.stride,
+                  b.ld, trans_b, pc + i * c_stride, m, k, n, &se);
       } else {
-        GemmTiled(pa + i * a_stride, lda, trans_a, pb + i * b_stride, ldb,
-                  trans_b, pc + i * c_stride, m, k, n);
+        GemmTiled(a.data + i * a.stride, a.ld, trans_a, b.data + i * b.stride,
+                  b.ld, trans_b, pc + i * c_stride, m, k, n);
       }
     }
   } else {
     // Small slices (the per-entity filter banks): parallelize over the batch
     // dimension, several slices per chunk.
     const int64_t grain = std::max<int64_t>(
-        1, (4 * kSmallGemmFlops) / std::max<int64_t>(slice_flops, 1));
+        1, (4 * kSmallGemmFlops) / std::max<int64_t>(2 * m * k * n, 1));
     For1D(batch, grain, [=](int64_t b0, int64_t b1) {
       for (int64_t i = b0; i < b1; ++i) {
-        SmallGemm(pa + i * a_stride, lda, trans_a, pb + i * b_stride, ldb,
-                  trans_b, pc + i * c_stride, m, k, n);
+        SmallGemm(a.data + i * a.stride, a.ld, trans_a, b.data + i * b.stride,
+                  b.ld, trans_b, pc + i * c_stride, m, k, n);
         if (epi) {
           const EpilogueArgs se = SliceEpilogue(*epi, i, m, n);
           ApplyEpilogueAllRows(se, pc + i * c_stride, m, n);
@@ -976,6 +983,8 @@ void BatchGemmIntoRaw(const Tensor& a, const Tensor& b, bool trans_a,
     });
   }
 }
+
+int64_t SliceFlops(const BatchGemmDims& d) { return 2 * d.m * d.k * d.n; }
 
 }  // namespace
 
@@ -994,8 +1003,8 @@ Tensor BatchGemm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
       e.preact = preact->data();
     }
     Tensor c(Shape{d.batch, d.m, d.n});
-    BatchGemmIntoRaw(a, b, trans_a, trans_b, d, c.data(),
-                     has_epi ? &e : nullptr);
+    BatchGemmIntoRaw(Slices(a), trans_a, Slices(b), trans_b, d, SliceFlops(d),
+                     c.data(), has_epi ? &e : nullptr);
     return c;
   }
   Tensor acc;
@@ -1010,7 +1019,8 @@ Tensor BatchGemm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
   std::fill(acc.data(), acc.data() + acc.numel(), 0.0f);
   Tensor z = Tensor::Uninitialized(Shape{d.batch, d.m, e.half});
   e.z = z.data();
-  BatchGemmIntoRaw(a, b, trans_a, trans_b, d, acc.data(), &e);
+  BatchGemmIntoRaw(Slices(a), trans_a, Slices(b), trans_b, d, SliceFlops(d),
+                   acc.data(), &e);
   return z;
 }
 
@@ -1029,7 +1039,55 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   // The GEMM kernels accumulate, and `out` may be recycled workspace memory
   // holding stale values — zero it first.
   std::fill(out->data(), out->data() + out->numel(), 0.0f);
-  BatchGemmIntoRaw(a, b, /*trans_a=*/false, /*trans_b=*/false, d, out->data());
+  BatchGemmIntoRaw(Slices(a), /*trans_a=*/false, Slices(b), /*trans_b=*/false,
+                   d, SliceFlops(d), out->data());
+}
+
+Tensor BatchGemmSharedA(const Tensor& a, const Tensor& b, bool trans_a,
+                        int64_t row_begin, int64_t rows) {
+  ENHANCENET_CHECK_EQ(a.dim(), 2);
+  ENHANCENET_CHECK_EQ(b.dim(), 3);
+  const int64_t m = trans_a ? a.size(1) : a.size(0);
+  BatchGemmDims d;
+  d.batch = b.size(0);
+  d.k = trans_a ? a.size(0) : a.size(1);
+  d.n = b.size(2);
+  d.m = rows < 0 ? m - row_begin : rows;
+  ENHANCENET_CHECK_EQ(d.k, b.size(1))
+      << "shared-A bmm inner dims: " << ShapeToString(a.shape()) << " x "
+      << ShapeToString(b.shape());
+  ENHANCENET_CHECK(row_begin >= 0 && d.m >= 0 && row_begin + d.m <= m)
+      << "rows [" << row_begin << ", " << row_begin + d.m << ") outside "
+      << m;
+  // Row r of op(A) starts at A + r*lda, or at column r of A when transposed.
+  const int64_t lda = a.size(1);
+  const SliceOperand shared{a.data() + (trans_a ? row_begin : row_begin * lda),
+                            /*stride=*/0, lda};
+  Tensor c(Shape{d.batch, d.m, d.n});
+  BatchGemmIntoRaw(shared, trans_a, Slices(b), /*trans_b=*/false, d,
+                   /*regime_flops=*/2 * m * d.k * d.n, c.data());
+  return c;
+}
+
+Tensor BatchGemmSum(const Tensor& a, const Tensor& b, bool trans_a,
+                    bool trans_b) {
+  const BatchGemmDims d = CheckBatchGemmDims(a, b, trans_a, trans_b);
+  if (runtime::ProfilingEnabled()) {
+    OpsProfile& profile = OpsProfile::Get();
+    profile.batch_gemm_calls->Add();
+    profile.batch_gemm_slices->Add(d.batch);
+    profile.batch_gemm_flops->Add(d.batch * SliceFlops(d));
+  }
+  const SliceOperand sa = Slices(a);
+  const SliceOperand sb = Slices(b);
+  // Every slice accumulates into the same output, one after another.
+  Tensor c(Shape{d.m, d.n});
+  for (int64_t i = 0; i < d.batch; ++i) {
+    GemmDispatch(sa.data + i * sa.stride, sa.ld, trans_a,
+                 sb.data + i * sb.stride, sb.ld, trans_b, c.data(), d.m, d.k,
+                 d.n);
+  }
+  return c;
 }
 
 namespace {

@@ -129,6 +129,25 @@ Tensor BatchMatMul(const Tensor& a, const Tensor& b);
 /// discarded. Numerically identical to BatchMatMul.
 void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
 
+/// One 2-D operator applied to every slice of a batch (a static graph
+/// support over a [B,N,C] signal):
+///   C[i] = op(A)[row_begin : row_begin + rows] · B[i]
+/// with A [M,K] ([K,M] if trans_a) and B [batch,K,N] -> C [batch, rows, N];
+/// rows < 0 means every row of op(A) from row_begin on. Each slice runs the
+/// kernel Gemm(A, B[i], trans_a, false) runs — the regime is chosen from the
+/// whole product, never the row block — and every output row accumulates
+/// over K in the same order whatever other rows are computed. So slice i is
+/// bitwise equal to rows [row_begin, row_begin + rows) of that Gemm:
+/// batched ≡ single, and a row block ≡ the same rows of the whole product.
+Tensor BatchGemmSharedA(const Tensor& a, const Tensor& b, bool trans_a,
+                        int64_t row_begin = 0, int64_t rows = -1);
+
+/// Σ_i op(A[i]) · op(B[i]) over the leading dim of two 3-D operands ->
+/// [M,N]. Slices accumulate into one output in ascending i, so the sum is
+/// bitwise independent of the thread count.
+Tensor BatchGemmSum(const Tensor& a, const Tensor& b, bool trans_a,
+                    bool trans_b);
+
 // ---------------------------------------------------------------------------
 // Movement / restructuring (all produce fresh storage)
 // ---------------------------------------------------------------------------

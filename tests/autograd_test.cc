@@ -426,6 +426,13 @@ INSTANTIATE_TEST_SUITE_P(
                    return Scalarize(ag::AdjacencyMatMul(in[0], in[1]));
                  },
                  {{4, 4}, {2, 4, 3}}},
+        GradCase{"topk_attention",
+                 [](const std::vector<ag::Variable>& in) {
+                   // k=3 of N=5: the masked, renormalized softmax.
+                   ag::SparseIndex index;
+                   return Scalarize(ag::TopKAttention(in[0], in[1], 3, &index));
+                 },
+                 {{2, 5, 3}, {2, 5, 3}}},
         GradCase{"matmul_bias",
                  [](const std::vector<ag::Variable>& in) {
                    return Scalarize(ag::MatMulBias(in[0], in[1], in[2]));

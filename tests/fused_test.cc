@@ -189,7 +189,7 @@ TEST(AdjacencyMatMulTest, ForwardAndGradMatchTransposeChain) {
   const int64_t n = 5;
   const int64_t channels = 4;
   Tensor adj0 = Tensor::Randn({n, n}, rng);
-  // Exercise the sparse skip: zero out a few entries.
+  // Zero a few entries, as a thresholded support has.
   adj0.data()[1] = 0.0f;
   adj0.data()[n + 2] = 0.0f;
   adj0.data()[3 * n] = 0.0f;
@@ -213,6 +213,89 @@ TEST(AdjacencyMatMulTest, ForwardAndGradMatchTransposeChain) {
   EXPECT_LE(MaxAbsDiff(fused[0], reference[0]), kGradTol) << "forward";
   EXPECT_LE(MaxAbsDiff(fused[1], reference[1]), kGradTol) << "d adj";
   EXPECT_LE(MaxAbsDiff(fused[2], reference[2]), kGradTol) << "d x";
+}
+
+/// AdjacencyMatMul on fresh leaves of adj0/x0 with upstream gradient `up`:
+/// {out, d adj, d x}.
+std::vector<Tensor> AdjacencyMatMulRun(const Tensor& adj0, const Tensor& x0,
+                                       const Tensor& up, bool production) {
+  ag::Variable adj = ag::Variable::Leaf(adj0.Clone(), /*requires_grad=*/true);
+  ag::Variable x = ag::Variable::Leaf(x0.Clone(), /*requires_grad=*/true);
+  ag::Variable out = production ? ag::AdjacencyMatMul(adj, x)
+                                : reference::AdjacencyMatMul(adj, x);
+  ag::SumAll(ag::Mul(out, ag::Variable::Leaf(up.Clone(), false))).Backward();
+  return {out.data().Clone(), adj.grad().Clone(), x.grad().Clone()};
+}
+
+/// An [n, n] support with about 40% zeros, like a thresholded adjacency.
+Tensor ThresholdedAdjacency(int64_t n, Rng& rng) {
+  Tensor adj = Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f);
+  for (int64_t i = 0; i < adj.numel(); ++i) {
+    if (adj.data()[i] < 0.4f) adj.data()[i] = 0.0f;
+  }
+  return adj;
+}
+
+TEST(AdjacencyMatMulTest, RaggedShapesMatchTransposeChain) {
+  Rng rng(31);
+  for (const int64_t n : {37, 130}) {
+    for (const int64_t channels : {1, 17, 33}) {
+      for (const int64_t batch : {1, 3}) {
+        const Tensor adj = ThresholdedAdjacency(n, rng);
+        const Tensor x = Tensor::Randn({batch, n, channels}, rng);
+        const Tensor up = Tensor::Randn({batch, n, channels}, rng);
+        const std::vector<Tensor> got = AdjacencyMatMulRun(adj, x, up, true);
+        const std::vector<Tensor> want =
+            AdjacencyMatMulRun(adj, x, up, false);
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_LE(MaxAbsDiff(got[i], want[i]),
+                    kGradTol * std::max(1.0f, MaxAbs(want[i])))
+              << "N=" << n << " C=" << channels << " B=" << batch
+              << " tensor " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(AdjacencyMatMulTest, BatchedSlicesBitwiseMatchSingleCalls) {
+  Rng rng(37);
+  for (const int64_t n : {37, 130}) {
+    const int64_t batch = 3, channels = 17;
+    const Tensor adj = ThresholdedAdjacency(n, rng);
+    const Tensor x = Tensor::Randn({batch, n, channels}, rng);
+    const Tensor up = Tensor::Randn({batch, n, channels}, rng);
+    const std::vector<Tensor> batched = AdjacencyMatMulRun(adj, x, up, true);
+    for (int64_t b = 0; b < batch; ++b) {
+      const std::vector<Tensor> single = AdjacencyMatMulRun(
+          adj, ops::Slice(x, 0, b, 1), ops::Slice(up, 0, b, 1), true);
+      // out and d x are per slice; d adj sums over the batch.
+      EXPECT_EQ(MaxAbsDiff(ops::Slice(batched[0], 0, b, 1), single[0]), 0.0f)
+          << "N=" << n << " out slice " << b;
+      EXPECT_EQ(MaxAbsDiff(ops::Slice(batched[2], 0, b, 1), single[2]), 0.0f)
+          << "N=" << n << " d x slice " << b;
+    }
+  }
+}
+
+TEST(AdjacencyMatMulTest, BitwiseAcrossThreadCounts) {
+  Rng rng(41);
+  // N=300 spans two K blocks of the tiled GEMM.
+  for (const int64_t n : {37, 130, 300}) {
+    const Tensor adj = ThresholdedAdjacency(n, rng);
+    const Tensor x = Tensor::Randn({3, n, 17}, rng);
+    const Tensor up = Tensor::Randn({3, n, 17}, rng);
+    const int prev_threads = GetNumThreads();
+    SetNumThreads(1);
+    const std::vector<Tensor> one = AdjacencyMatMulRun(adj, x, up, true);
+    SetNumThreads(4);
+    const std::vector<Tensor> four = AdjacencyMatMulRun(adj, x, up, true);
+    SetNumThreads(prev_threads);
+    for (size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(MaxAbsDiff(one[i], four[i]), 0.0f)
+          << "N=" << n << " tensor " << i;
+    }
+  }
 }
 
 // End-to-end wiring check: the whole cell (GEMMs included) agrees with the

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/grad_mode.h"
@@ -231,7 +232,7 @@ TEST(ShardExecutorTest, ApplyDenseBitwiseMatchesAdjacencyMatMul) {
   const int64_t batch = 2, n = 11, channels = 5;
   Rng rng(80);
   Tensor adj = Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f);
-  // Realistic sparsity: the dense kernel's zero-skip must be replicated.
+  // Realistic sparsity, as a thresholded support has.
   for (int64_t i = 0; i < adj.numel(); ++i) {
     if (adj.data()[i] < 0.4f) adj.data()[i] = 0.0f;
   }
@@ -243,6 +244,28 @@ TEST(ShardExecutorTest, ApplyDenseBitwiseMatchesAdjacencyMatMul) {
   for (const int s : {1, 2, 3, 4}) {
     shard::EntityShardedExecutor executor(shard::MakeContiguousPlan(n, s));
     ExpectBitwiseEqual(executor.ApplyDense(adj, x), reference);
+  }
+}
+
+TEST(ShardExecutorTest, ApplyDenseRaggedShardsBitwiseMatchAdjacencyMatMul) {
+  // Shard row blocks that do not divide N. At N=300, C=2 the whole product
+  // runs the tiled GEMM (two K blocks) while a 75-row block alone would run
+  // the small-product kernel, which sums all of K in one pass, so the block
+  // must keep the regime of the whole.
+  const std::pair<int64_t, int64_t> shapes[] = {{37, 17}, {300, 2}};
+  for (const auto& [n, channels] : shapes) {
+    const int64_t batch = 3;
+    Rng rng(static_cast<uint64_t>(n));
+    const Tensor adj = Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f);
+    const Tensor x = Tensor::Randn({batch, n, channels}, rng);
+    const Tensor reference =
+        ag::AdjacencyMatMul(ag::Variable::Leaf(adj, false),
+                            ag::Variable::Leaf(x, false))
+            .data();
+    for (const int s : {3, 4}) {
+      shard::EntityShardedExecutor executor(shard::MakeContiguousPlan(n, s));
+      ExpectBitwiseEqual(executor.ApplyDense(adj, x), reference);
+    }
   }
 }
 

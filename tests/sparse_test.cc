@@ -18,6 +18,8 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -458,6 +460,16 @@ TEST(SparseTest, BitwiseDeterministicAcrossThreadCounts) {
   expect_bitwise(serial.dx, parallel.dx, "d_x");
 }
 
+/// Nonzero mixing coefficients, so A, B and C all reach every hop of the
+/// Damgn's supports.
+void SetMixingCoefficients(core::Damgn* damgn) {
+  for (auto& [name, param] : damgn->NamedParameters()) {
+    if (name == "lambda_a") param.mutable_data().data()[0] = 0.6f;
+    if (name == "lambda_b") param.mutable_data().data()[0] = 0.3f;
+    if (name == "lambda_c") param.mutable_data().data()[0] = 0.4f;
+  }
+}
+
 TEST(SparseTest, DamgnSparseFullKMatchesDenseSupports) {
   // With k = N the sparse hop-by-hop supports compute the same function as
   // the dense materialized powers; losses and parameter gradients agree to
@@ -466,12 +478,7 @@ TEST(SparseTest, DamgnSparseFullKMatchesDenseSupports) {
   const int64_t batch = 2, n = 6, c = 3;
   core::Damgn damgn(Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f), n, c,
                     /*mem_dim=*/3, /*embed_dim=*/4, rng);
-  // Nonzero mixing coefficients so every term (A, B, C) participates.
-  for (auto& [name, param] : damgn.NamedParameters()) {
-    if (name == "lambda_a") param.mutable_data().data()[0] = 0.6f;
-    if (name == "lambda_b") param.mutable_data().data()[0] = 0.3f;
-    if (name == "lambda_c") param.mutable_data().data()[0] = 0.4f;
-  }
+  SetMixingCoefficients(&damgn);
   const ag::Variable x =
       ag::Variable::Leaf(Tensor::Randn({batch, n, c}, rng), false);
 
@@ -509,6 +516,127 @@ TEST(SparseTest, DamgnSparseFullKMatchesDenseSupports) {
           << "param " << i << " element " << j;
     }
   }
+}
+
+/// Number of distinct graph nodes reachable from `root` made by `op`.
+int CountOpNodes(const ag::Variable& root, const std::string& op) {
+  std::set<const ag::Node*> seen;
+  std::vector<const ag::Node*> stack{root.node().get()};
+  int count = 0;
+  while (!stack.empty()) {
+    const ag::Node* node = stack.back();
+    stack.pop_back();
+    if (!seen.insert(node).second) continue;
+    if (op == node->op_name) ++count;
+    for (const auto& parent : node->parents) stack.push_back(parent.get());
+  }
+  return count;
+}
+
+void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
+  }
+}
+
+TEST(SparseTest, MixSupportsWalksEachHopChainOnce) {
+  // The supports of one CombinedSupports call share a hop chain in each
+  // direction: the forward is bitwise the concatenation of independent
+  // ApplySupport calls, gradients agree to reassociation tolerance, and the
+  // dense static part is applied once per hop (3 + 3 with max_hops = 3)
+  // instead of once per hop per support (6 + 6).
+  Rng rng(103);
+  const int64_t batch = 2, n = 9, c = 3, k = 4;
+  core::Damgn damgn(Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f), n, c,
+                    /*mem_dim=*/3, /*embed_dim=*/4, rng);
+  SetMixingCoefficients(&damgn);
+  const Tensor x0 = Tensor::Randn({batch, n, c}, rng);
+  runtime::RuntimeContext::Options options;
+  options.private_exec = true;
+  runtime::RuntimeContext context(options);
+  context.exec().topk.store(k, std::memory_order_relaxed);
+  runtime::RuntimeContext::Bind bind(context);
+
+  struct Run {
+    Tensor mixed;
+    int dense_applies;
+    std::vector<Tensor> grads;  // x, then every Damgn parameter
+  };
+  const auto run = [&](bool chained) {
+    damgn.ZeroGrad();
+    const ag::Variable x = ag::Variable::Leaf(x0.Clone(), true);
+    const std::vector<graph::Support> supports =
+        damgn.CombinedSupports(x, /*max_hops=*/3, /*bidirectional=*/true);
+    EXPECT_EQ(supports.size(), 6u);
+    ag::Variable mixed;
+    if (chained) {
+      mixed = graph::MixSupports(x, supports, /*include_self=*/true);
+    } else {
+      std::vector<ag::Variable> parts{x};
+      for (const graph::Support& support : supports) {
+        parts.push_back(graph::ApplySupport(support, x));
+      }
+      mixed = ag::Concat(parts, -1);
+    }
+    ag::Variable loss = ag::SumAll(ag::Square(mixed));
+    loss.Backward();
+    Run result{mixed.data().Clone(), CountOpNodes(loss, "adj_matmul"),
+               {x.grad().Clone()}};
+    for (const auto& param : damgn.Parameters()) {
+      result.grads.push_back(param.grad().Clone());
+    }
+    return result;
+  };
+
+  const Run chained = run(true);
+  const Run independent = run(false);
+  ExpectBitwiseEqual(chained.mixed, independent.mixed);
+  EXPECT_EQ(chained.dense_applies, 6);
+  EXPECT_EQ(independent.dense_applies, 12);
+  ASSERT_EQ(chained.grads.size(), independent.grads.size());
+  for (size_t i = 0; i < chained.grads.size(); ++i) {
+    const float* pc = chained.grads[i].data();
+    const float* pi = independent.grads[i].data();
+    for (int64_t j = 0; j < chained.grads[i].numel(); ++j) {
+      EXPECT_NEAR(pc[j], pi[j], 1e-4f * (1.0f + std::fabs(pi[j])))
+          << "grad " << i << " element " << j;
+    }
+  }
+}
+
+TEST(SparseTest, MixSupportsNeverChainsAcrossCombinedSupportsCalls) {
+  // Hop counts 1 and 2 of one call, interleaved with hop counts 2 and 3 of a
+  // second call on a different signal: each support still computes its own
+  // call's power from x, never a hop past the other call's output.
+  Rng rng(107);
+  const int64_t batch = 2, n = 9, c = 3, k = 4;
+  core::Damgn damgn(Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f), n, c,
+                    /*mem_dim=*/3, /*embed_dim=*/4, rng);
+  SetMixingCoefficients(&damgn);
+  const ag::Variable x =
+      ag::Variable::Leaf(Tensor::Randn({batch, n, c}, rng), false);
+  const ag::Variable other =
+      ag::Variable::Leaf(Tensor::Randn({batch, n, c}, rng), false);
+  runtime::RuntimeContext::Options options;
+  options.private_exec = true;
+  runtime::RuntimeContext context(options);
+  context.exec().topk.store(k, std::memory_order_relaxed);
+  runtime::RuntimeContext::Bind bind(context);
+  ag::NoGradGuard no_grad;
+
+  const std::vector<graph::Support> a =
+      damgn.CombinedSupports(x, /*max_hops=*/3, /*bidirectional=*/false);
+  const std::vector<graph::Support> b =
+      damgn.CombinedSupports(other, /*max_hops=*/3, /*bidirectional=*/false);
+  const std::vector<graph::Support> interleaved{a[0], b[1], a[1], b[2]};
+  std::vector<ag::Variable> parts;
+  for (const graph::Support& support : interleaved) {
+    parts.push_back(graph::ApplySupport(support, x));
+  }
+  ExpectBitwiseEqual(
+      graph::MixSupports(x, interleaved, /*include_self=*/false).data(),
+      ag::Concat(parts, -1).data());
 }
 
 TEST(SparseTest, SparseTrainingStepsAreAllocationFree) {

@@ -4,8 +4,10 @@
 // that keeps autograd gradient checks and the seeded table reproductions
 // stable no matter the host.
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 #include "runtime/parallel.h"
 #include "gtest/gtest.h"
@@ -132,6 +134,62 @@ TEST_F(TensorParallelTest, BatchGemmMatchesPerSliceGemm) {
     EXPECT_TRUE(BitwiseEqual(ci, ops::MatMul(ai, bi))) << "slice " << i;
   }
   SetNumThreads(1);
+}
+
+TEST_F(TensorParallelTest, BatchGemmSharedAMatchesPerSliceGemmAndRowBlocks) {
+  Rng rng(29);
+  // {n, c}: a small-regime product (37x37x17); a tiled one with two K
+  // blocks whose 75-row blocks alone would run the small-product kernel,
+  // which sums all of K in one pass (300x300x2); and a tiled one whose row
+  // blocks stay tiled (300x300x33).
+  const std::pair<int64_t, int64_t> shapes[] = {{37, 17}, {300, 2}, {300, 33}};
+  for (const auto& [n, c] : shapes) {
+    Tensor a = Tensor::Randn({n, n}, rng);
+    Tensor x = Tensor::Randn({3, n, c}, rng);
+    for (const bool trans_a : {false, true}) {
+      SetNumThreads(4);
+      const Tensor full = ops::BatchGemmSharedA(a, x, trans_a);
+      for (int64_t i = 0; i < 3; ++i) {
+        const Tensor xi = ops::Slice(x, 0, i, 1).Reshape({n, c});
+        const Tensor ci = ops::Slice(full, 0, i, 1).Reshape({n, c});
+        EXPECT_TRUE(BitwiseEqual(ci, ops::Gemm(a, xi, trans_a, false)))
+            << "n=" << n << " slice " << i << " trans_a=" << trans_a;
+      }
+      // Ragged row blocks reproduce the same rows of the whole product.
+      const int64_t block = (n + 3) / 4;
+      for (int64_t r0 = 0; r0 < n; r0 += block) {
+        const int64_t rows = std::min(block, n - r0);
+        EXPECT_TRUE(BitwiseEqual(
+            ops::BatchGemmSharedA(a, x, trans_a, r0, rows),
+            ops::Slice(full, 1, r0, rows)))
+            << "n=" << n << " rows [" << r0 << ", " << r0 + rows << ")";
+      }
+      SetNumThreads(1);
+      ExpectInvariant([&] { return ops::BatchGemmSharedA(a, x, trans_a); },
+                      "shared-A bmm");
+    }
+  }
+}
+
+TEST_F(TensorParallelTest, BatchGemmSumMatchesSumOfSliceGemms) {
+  Rng rng(31);
+  for (const int64_t n : {int64_t{9}, int64_t{130}}) {
+    Tensor g = Tensor::Randn({3, n, 17}, rng);
+    Tensor x = Tensor::Randn({3, n, 17}, rng);
+    const Tensor sum = ops::BatchGemmSum(g, x, false, true);
+    Tensor expected = Tensor::Zeros({n, n});
+    for (int64_t i = 0; i < 3; ++i) {
+      const Tensor gi = ops::Slice(g, 0, i, 1).Reshape({n, 17});
+      const Tensor xi = ops::Slice(x, 0, i, 1).Reshape({n, 17});
+      expected = ops::Add(expected, ops::Gemm(gi, xi, false, true));
+    }
+    ASSERT_EQ(sum.shape(), expected.shape());
+    for (int64_t e = 0; e < sum.numel(); ++e) {
+      EXPECT_NEAR(sum.data()[e], expected.data()[e], 1e-4f) << "at " << e;
+    }
+    ExpectInvariant([&] { return ops::BatchGemmSum(g, x, false, true); },
+                    "bmm sum");
+  }
 }
 
 TEST_F(TensorParallelTest, ElementwiseAndBroadcast) {
