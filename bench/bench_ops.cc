@@ -9,6 +9,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "autograd/grad_mode.h"
 #include "autograd/ops.h"
@@ -20,6 +22,7 @@
 #include "graph/sparse_adjacency.h"
 #include "obs/metrics.h"
 #include "runtime/context.h"
+#include "runtime/parallel.h"
 #include "shard/executor.h"
 #include "shard/halo.h"
 #include "shard/shard_plan.h"
@@ -342,6 +345,43 @@ void BM_DamgnSparseDynamicC(benchmark::State& state) {
 }
 BENCHMARK(BM_DamgnSparseDynamicC)->Args({208, 16})->Args({1024, 16});
 
+void BM_DamgnSupportMix(benchmark::State& state) {
+  // One training step's DAMGN support work for one graph convolution at the
+  // train-207 shape (N=207, B=8, an 18-channel signal, max_hops=2, both
+  // directions): CombinedSupports, MixSupports and their backward. topk=0
+  // is the dense path, A' walked hop by hop; topk>0 splits A' into the
+  // static part and a top-k C.
+  const int64_t n = 207, batch = 8, channels = 18;
+  const int topk = static_cast<int>(state.range(0));
+  Rng rng(1);
+  Tensor dist = Tensor::RandUniform({n, n}, rng, 0.1f, 10.0f);
+  Tensor adjacency = graph::GaussianKernelAdjacency(dist);
+  core::Damgn damgn(adjacency, n, /*in_channels=*/1, /*mem_dim=*/10,
+                    /*embed_dim=*/8, rng);
+  ag::Variable signal =
+      ag::Variable::Leaf(Tensor::Randn({batch, n, 1}, rng), false);
+  ag::Variable x =
+      ag::Variable::Leaf(Tensor::Randn({batch, n, channels}, rng), true);
+  runtime::RuntimeContext::Options options;
+  options.private_exec = true;
+  runtime::RuntimeContext context(options);
+  context.exec().topk.store(topk, std::memory_order_relaxed);
+  runtime::RuntimeContext::Bind bind(context);
+  for (auto _ : state) {
+    damgn.ZeroGrad();
+    x.ZeroGrad();
+    const std::vector<graph::Support> supports =
+        damgn.CombinedSupports(signal, /*max_hops=*/2, /*bidirectional=*/true);
+    ag::Variable mixed =
+        graph::MixSupports(x, supports, /*include_self=*/true);
+    ag::SumAll(mixed).Backward();
+    benchmark::DoNotOptimize(mixed.data().data());
+    benchmark::DoNotOptimize(x.grad().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DamgnSupportMix)->Arg(0)->Arg(16);
+
 /// ENHANCENET_FULL=1 rows: the 10k dense GEMM (a ~2 TFLOP step that exists
 /// to show the O(N²) wall). The 10k selection scan moved into the default
 /// set — it is the baseline of the windowed-selection comparison.
@@ -356,6 +396,8 @@ void RegisterFullScaleSparseBenchmarks() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("enhancenet_num_threads",
+                              std::to_string(enhancenet::GetNumThreads()));
   if (enhancenet::bench::ModeFromEnv() == enhancenet::bench::Mode::kFull) {
     enhancenet::RegisterFullScaleSparseBenchmarks();
   }

@@ -30,6 +30,7 @@
 #include "optim/optimizer.h"
 #include "runtime/allocator.h"
 #include "runtime/context.h"
+#include "runtime/parallel.h"
 #include "train/metrics.h"
 #include "train/trainer.h"
 
@@ -360,6 +361,8 @@ BENCHMARK_CAPTURE(BM_AccuracyVsKTrained, N208_k32, 32)
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("enhancenet_num_threads",
+                              std::to_string(enhancenet::GetNumThreads()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   enhancenet::bench::MaybeExportMetrics();

@@ -87,39 +87,27 @@ std::vector<graph::Support> Damgn::CombinedSupports(const ag::Variable& x,
   ENHANCENET_CHECK_GE(max_hops, 1);
   const int topk = runtime::RuntimeContext::Current().exec().topk.load(
       std::memory_order_relaxed);
-  std::vector<graph::Support> supports;
+  // The per-hop operator: A' itself ([B,N,N]) on the dense path; on the
+  // sparse path A' kept split as S + λ_C·C_topk, so no [B,N,N] tensor is
+  // built. Either way MixSupports walks (A')ʰ·X hop by hop (Sec. V-A's
+  // (A')ᵏ) and no power is materialized.
+  ag::Variable adj;
+  graph::SparseAdjacency c;
   if (topk > 0) {
-    // Sparse path: A' is kept split as S + λ_C·C_topk and applied
-    // hop-by-hop, so no [B,N,N] tensor (let alone its powers) is built.
-    ag::Variable s = StaticMix();
-    graph::SparseAdjacency c = SparseDynamicC(x, topk);
+    adj = StaticMix();
+    c = SparseDynamicC(x, topk);
     c.values = ag::Mul(lambda_c_, c.values);
-    for (int hop = 1; hop <= max_hops; ++hop) {
-      supports.emplace_back(s, c, hop, /*transposed=*/false);
-    }
-    if (bidirectional) {
-      ag::Variable st = ag::Transpose(s, 0, 1);
-      for (int hop = 1; hop <= max_hops; ++hop) {
-        supports.emplace_back(st, c, hop, /*transposed=*/true);
-      }
-    }
-    return supports;
+  } else {
+    adj = Combined(x);
   }
-  const ag::Variable combined = Combined(x);
-  supports.push_back(combined);
-  ag::Variable power = combined;
-  for (int hop = 2; hop <= max_hops; ++hop) {
-    // (A')ᵏ replaces Aᵏ for k-hop neighbourhoods (Sec. V-A).
-    power = ag::BatchMatMul(power, combined);
-    supports.push_back(power);
+  std::vector<graph::Support> supports;
+  for (int hop = 1; hop <= max_hops; ++hop) {
+    supports.emplace_back(adj, c, hop, /*transposed=*/false);
   }
   if (bidirectional) {
-    const ag::Variable transposed = ag::Transpose(combined, 1, 2);
-    supports.push_back(transposed);
-    ag::Variable tpower = transposed;
-    for (int hop = 2; hop <= max_hops; ++hop) {
-      tpower = ag::BatchMatMul(tpower, transposed);
-      supports.push_back(tpower);
+    const ag::Variable adj_t = ag::Transpose(adj, -2, -1);
+    for (int hop = 1; hop <= max_hops; ++hop) {
+      supports.emplace_back(adj_t, c, hop, /*transposed=*/true);
     }
   }
   return supports;

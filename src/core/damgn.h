@@ -60,12 +60,15 @@ class Damgn : public nn::Module {
   /// Support set for diffusion-style graph convolution using A' in place of
   /// A (and (A')ᵏ in place of Aᵏ, Sec. V-A). With bidirectional=true the
   /// transposed supports are appended, mirroring the fwd/bwd static set:
-  ///   { A', (A')², ..., A'ᵀ, (A'ᵀ)², ... }   each [B, N, N]
+  ///   { A', (A')², ..., A'ᵀ, (A'ᵀ)², ... }
+  /// Each is a hop operator with a hop count (graph::Support), never a
+  /// materialized power: graph::MixSupports walks one hop chain per
+  /// direction, so the h-hop term is A'·(the (h−1)-hop term).
   ///
-  /// Honors ExecConfig::topk of the bound RuntimeContext: k=0 returns the
-  /// historical dense supports (bitwise unchanged); k>0 returns sparse
-  /// supports that apply S + λ_C·C_topk hop-by-hop without ever
-  /// materializing an [B,N,N] power.
+  /// Honors ExecConfig::topk of the bound RuntimeContext: k=0 uses the dense
+  /// A' ([B,N,N]) as the operator, equal to the precomputed-power oracle
+  /// (tests/reference) to float reassociation tolerance; k>0 splits it into
+  /// S + λ_C·C_topk and never builds a [B,N,N] tensor.
   std::vector<graph::Support> CombinedSupports(const autograd::Variable& x,
                                                int max_hops,
                                                bool bidirectional) const;

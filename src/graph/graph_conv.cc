@@ -41,22 +41,20 @@ ag::Variable ApplyAdjacency(const ag::Variable& adj, const ag::Variable& x) {
 
 namespace {
 
-/// One hop of a sparse support: y ← S·y + C·y (a dense [N,N] apply plus a
-/// sparse top-k apply).
-ag::Variable SparseHop(const Support& support, const ag::Variable& y) {
+/// One hop of a support: y ← adj·y, plus C·y when the sparse part is set.
+ag::Variable Hop(const Support& support, const ag::Variable& y) {
+  if (!support.sparse.defined()) return ApplyAdjacency(support.adj, y);
   ag::Variable dynamic =
       ApplySparseAdjacency(support.sparse, y, support.transposed);
-  return support.static_part.defined()
-             ? ag::Add(ApplyAdjacency(support.static_part, y), dynamic)
-             : dynamic;
+  return ag::Add(ApplyAdjacency(support.adj, y), dynamic);
 }
 
-/// True if `a` and `b` apply the same operator S + C per hop — the same
-/// static part, dynamic values and index pattern in the same direction, as
-/// every hop count of one Damgn::CombinedSupports call does — so that the
-/// hops of one extend the hops of the other.
+/// True if `a` and `b` apply the same operator per hop — the same dense
+/// part, sparse values and index pattern in the same direction, as every
+/// hop count of one Damgn::CombinedSupports call does — so that the hops of
+/// one extend the hops of the other.
 bool SameHopOperator(const Support& a, const Support& b) {
-  return a.static_part.node() == b.static_part.node() &&
+  return a.adj.node() == b.adj.node() &&
          a.sparse.values.node() == b.sparse.values.node() &&
          a.sparse.index.cols.storage == b.sparse.index.cols.storage &&
          a.transposed == b.transposed;
@@ -65,10 +63,9 @@ bool SameHopOperator(const Support& a, const Support& b) {
 }  // namespace
 
 ag::Variable ApplySupport(const Support& support, const ag::Variable& x) {
-  if (!support.is_sparse()) return ApplyAdjacency(support.dense, x);
-  // Hop-by-hop application of (S + C)^h without materializing the power.
+  // Hop-by-hop application of (adj + C)^hops without materializing the power.
   ag::Variable y = x;
-  for (int h = 0; h < support.hops; ++h) y = SparseHop(support, y);
+  for (int h = 0; h < support.hops; ++h) y = Hop(support, y);
   return y;
 }
 
@@ -78,22 +75,18 @@ ag::Variable MixSupports(const ag::Variable& x,
   std::vector<ag::Variable> parts;
   parts.reserve(supports.size() + 1);
   if (include_self) parts.push_back(x);
-  // Sparse supports that share one hop operator share one hop chain: the
-  // h-hop output continues from the chain's (h-1)-hop output, so
-  // {(S+C)¹, (S+C)², …} costs one hop per support instead of 1 + 2 + ….
+  // Supports that share one hop operator share one hop chain: the h-hop
+  // output continues from the chain's (h-1)-hop output, so
+  // {(A')¹, (A')², …} costs one hop per support instead of 1 + 2 + ….
   // Each output comes out of the op sequence ApplySupport runs, so it is
   // bitwise equal to an independent ApplySupport call.
   struct HopChain {
     const Support* hop_operator;  // any support on the chain
     int hops;                     // hops applied so far
-    ag::Variable y;               // (S + C)^hops · x
+    ag::Variable y;               // (adj + C)^hops · x
   };
   std::vector<HopChain> chains;
   for (const Support& support : supports) {
-    if (!support.is_sparse()) {
-      parts.push_back(ApplySupport(support, x));
-      continue;
-    }
     auto chain = std::find_if(
         chains.begin(), chains.end(), [&](const HopChain& c) {
           return c.hops <= support.hops &&
@@ -104,7 +97,7 @@ ag::Variable MixSupports(const ag::Variable& x,
       chain = chains.end() - 1;
     }
     for (; chain->hops < support.hops; ++chain->hops) {
-      chain->y = SparseHop(support, chain->y);
+      chain->y = Hop(support, chain->y);
     }
     parts.push_back(chain->y);
   }

@@ -18,35 +18,34 @@ namespace graph {
 autograd::Variable ApplyAdjacency(const autograd::Variable& adj,
                                   const autograd::Variable& x);
 
-/// One support matrix for graph convolution. Two representations:
+/// One support for graph convolution: a hop operator applied `hops` times,
+///   y ← adj·y            (+ C·y when the sparse part C is set)
+/// so the support aggregates over (adj + C)^hops without materializing the
+/// power (DESIGN.md §10).
 ///
-///  * dense: an explicit adjacency (or materialized power (A')^h), applied
-///    with one ApplyAdjacency call — the historical path, bitwise unchanged.
-///  * sparse (DESIGN.md §10): the DAMGN combined adjacency split into a
-///    dense static part S = λ_A·A + λ_B·B and a sparse top-k dynamic part
-///    C (already λ_C-scaled). The h-hop support (S+C)^h is never
-///    materialized; ApplySupport applies y ← S·y + C·y  h times, keeping
-///    every step O(N·(N+k)·C) instead of the O(N³) power build.
-///
-/// The implicit Variable constructor keeps existing call sites (and brace
-/// initializer lists of plain adjacencies) compiling unchanged.
+///  * Static supports (an explicit adjacency, or a precomputed power such as
+///    graph::DiffusionSupports emits) are a plain `adj` at hops = 1; the
+///    implicit Variable constructor builds them.
+///  * The DAMGN's k=0 supports are A' ([B,N,N]) at hops 1..max_hops, so the
+///    h-hop term is A'·(the (h−1)-hop term) and no [B,N,N] power is built.
+///  * Its top-k supports split A' into a dense static part
+///    adj = λ_A·A + λ_B·B ([N,N]) and a sparse dynamic part C (already
+///    λ_C-scaled), so every hop is O(N·(N+k)·C).
 struct Support {
-  Support(autograd::Variable adj)  // NOLINT: implicit on purpose
-      : dense(std::move(adj)) {}
-  Support(autograd::Variable static_part_, SparseAdjacency sparse_, int hops_,
+  Support(autograd::Variable adj_)  // NOLINT: implicit on purpose
+      : adj(std::move(adj_)) {}
+  Support(autograd::Variable adj_, SparseAdjacency sparse_, int hops_,
           bool transposed_)
-      : static_part(std::move(static_part_)),
+      : adj(std::move(adj_)),
         sparse(std::move(sparse_)),
         hops(hops_),
         transposed(transposed_) {}
 
-  autograd::Variable dense;        ///< dense support, when !is_sparse()
-  autograd::Variable static_part;  ///< dense S (pre-transposed if transposed)
-  SparseAdjacency sparse;          ///< sparse dynamic part C
-  int hops = 1;                    ///< how many times (S+C)· is applied
-  bool transposed = false;         ///< apply Cᵀ (CSC half) instead of C
-
-  bool is_sparse() const { return sparse.defined(); }
+  autograd::Variable adj;   ///< dense per-hop operator, [N,N] or [B,N,N]
+  SparseAdjacency sparse;   ///< optional sparse part C
+  int hops = 1;             ///< how many times adj (+ C) is applied
+  bool transposed = false;  ///< apply Cᵀ (CSC half) instead of C; adj is
+                            ///< passed already transposed
 };
 
 /// Aggregates x over one support's neighbourhood (see Support above).
@@ -60,7 +59,7 @@ autograd::Variable ApplySupport(const Support& support,
 /// to a support set) to a single channel-mixing matmul, which can then be
 /// shared (Linear) or entity-specific (DFGN-generated bank).
 ///
-/// Sparse supports with the same hop operator (every hop count one
+/// Supports with the same hop operator (every hop count one
 /// Damgn::CombinedSupports call returns for one direction) share one hop
 /// chain: the h-hop term is one hop past the (h−1)-hop term instead of h
 /// hops from x. Outputs are bitwise equal to independent ApplySupport calls.

@@ -9,6 +9,7 @@
 #include "graph/adjacency.h"
 #include "graph/graph_conv.h"
 #include "gtest/gtest.h"
+#include "reference/reference.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -219,21 +220,35 @@ TEST_F(DamgnTest, LambdasAreLearnable) {
 }
 
 TEST_F(DamgnTest, CombinedSupportsCountsAndShapes) {
-  Rng rng(16);
-  Tensor x = Tensor::Randn({2, 6, 2}, rng);
-  const auto supports =
-      damgn_.CombinedSupports(ag::Variable::Leaf(x, false), 2, true);
-  ASSERT_EQ(supports.size(), 4u);
-  for (const auto& s : supports) {
-    EXPECT_EQ(ShapeToString(s.dense.shape()), "[2, 6, 6]");
+  // The dense supports are A' (then A'ᵀ) as hop operators at hop counts
+  // 1..max_hops; each applies the oracle's materialized power (A')ʰ.
+  for (auto& [name, param] : damgn_.NamedParameters()) {
+    if (name == "lambda_b") param.mutable_data().data()[0] = 0.3f;
+    if (name == "lambda_c") param.mutable_data().data()[0] = 0.4f;
   }
-  // Second support is the batch square of the first.
-  Tensor sq =
-      ops::BatchMatMul(supports[0].dense.data(), supports[0].dense.data());
-  ExpectTensorNear(supports[1].dense.data(), sq, 1e-5f);
-  // Third is the transpose of the first.
-  ExpectTensorNear(supports[2].dense.data(),
-                   ops::Transpose(supports[0].dense.data(), 1, 2), 1e-6f);
+  Rng rng(16);
+  const ag::Variable x =
+      ag::Variable::Leaf(Tensor::Randn({2, 6, 2}, rng), false);
+  const ag::Variable probe =
+      ag::Variable::Leaf(Tensor::Randn({2, 6, 3}, rng), false);
+  const auto supports = damgn_.CombinedSupports(x, 2, true);
+  const auto powers = reference::DenseCombinedSupports(damgn_, x, 2, true);
+  ASSERT_EQ(supports.size(), 4u);
+  ASSERT_EQ(powers.size(), 4u);
+  for (size_t i = 0; i < supports.size(); ++i) {
+    EXPECT_EQ(supports[i].hops, static_cast<int>(i % 2) + 1) << i;
+    EXPECT_EQ(supports[i].transposed, i >= 2) << i;
+    EXPECT_FALSE(supports[i].sparse.defined()) << i;
+    EXPECT_EQ(ShapeToString(supports[i].adj.shape()), "[2, 6, 6]") << i;
+    ExpectTensorNear(graph::ApplySupport(supports[i], probe).data(),
+                     graph::ApplySupport(powers[i], probe).data(), 1e-5f);
+  }
+  // Both hop counts of a direction share its operator; the second
+  // direction's operator is the transpose of the first's.
+  EXPECT_EQ(supports[0].adj.node(), supports[1].adj.node());
+  EXPECT_EQ(supports[2].adj.node(), supports[3].adj.node());
+  ExpectTensorNear(supports[2].adj.data(),
+                   ops::Transpose(supports[0].adj.data(), 1, 2), 1e-6f);
 }
 
 TEST_F(DamgnTest, ParameterCountMatchesFormula) {

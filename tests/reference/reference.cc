@@ -158,9 +158,10 @@ ag::Variable DenseApply(const ag::Variable& adj, const ag::Variable& x) {
 ag::Variable SupportApply(const graph::Support& support,
                           const ag::Variable& x) {
   // Sparse supports go through graph::ApplySupport unchanged on both paths;
-  // the oracle only covers the dense chains the fused kernels replaced.
-  ENHANCENET_CHECK(!support.is_sparse());
-  return DenseApply(support.dense, x);
+  // the oracle only covers single-hop dense supports.
+  ENHANCENET_CHECK(!support.sparse.defined());
+  ENHANCENET_CHECK_EQ(support.hops, 1);
+  return DenseApply(support.adj, x);
 }
 
 /// graph::MixSupports with every dense 2-D support applied through
@@ -308,6 +309,32 @@ core::EnhanceTcnLayer::Output TcnLayerForward(
     out.residual = ag::Add(LinearByName(layer, "residual_proj.", z), x);
   }
   return out;
+}
+
+// --- DAMGN supports ----------------------------------------------------------
+
+std::vector<graph::Support> DenseCombinedSupports(const core::Damgn& damgn,
+                                                  const ag::Variable& x,
+                                                  int max_hops,
+                                                  bool bidirectional) {
+  ENHANCENET_CHECK_GE(max_hops, 1);
+  const ag::Variable combined = damgn.Combined(x);
+  std::vector<graph::Support> supports{combined};
+  ag::Variable power = combined;
+  for (int hop = 2; hop <= max_hops; ++hop) {
+    power = ag::BatchMatMul(power, combined);
+    supports.push_back(power);
+  }
+  if (bidirectional) {
+    const ag::Variable transposed = ag::Transpose(combined, 1, 2);
+    supports.push_back(transposed);
+    ag::Variable tpower = transposed;
+    for (int hop = 2; hop <= max_hops; ++hop) {
+      tpower = ag::BatchMatMul(tpower, transposed);
+      supports.push_back(tpower);
+    }
+  }
+  return supports;
 }
 
 // --- optimizers --------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
+#include "core/damgn.h"
 #include "core/enhance_gru_cell.h"
 #include "core/enhance_tcn_layer.h"
 #include "graph/graph_conv.h"
@@ -102,6 +103,19 @@ autograd::Variable EnhanceGruCellForward(
 core::EnhanceTcnLayer::Output TcnLayerForward(
     const core::EnhanceTcnLayer& layer, const autograd::Variable& x,
     const std::vector<graph::Support>& supports, Rng& rng);
+
+// --- DAMGN supports ----------------------------------------------------------
+
+/// The dense (k=0) support set of core::Damgn::CombinedSupports with every
+/// power materialized: A' = damgn.Combined(x) and (A')ʰ built by batched
+/// GEMMs, each a [B,N,N] support applied once,
+///   { A', (A')², ..., A'ᵀ, (A'ᵀ)², ... }.
+/// The production hop chain computes the same function with A' applied h
+/// times; the two agree to float reassociation tolerance.
+std::vector<graph::Support> DenseCombinedSupports(const core::Damgn& damgn,
+                                                  const autograd::Variable& x,
+                                                  int max_hops,
+                                                  bool bidirectional);
 
 // --- optimizers --------------------------------------------------------------
 

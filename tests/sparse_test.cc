@@ -8,8 +8,10 @@
 //    central finite differences, and bitwise determinism across thread
 //    counts;
 //  * Damgn / training — sparse CombinedSupports parity with the dense
-//    supports at k=N, the all-masked-row softmax fallback, and the
-//    steady-state allocation-free training guarantee with sparse enabled.
+//    supports at k=N, the dense (k=0) hop chain against the materialized
+//    power oracle, one hop chain per direction on both paths, the
+//    all-masked-row softmax fallback, and the steady-state allocation-free
+//    training guarantee with sparse enabled.
 
 #include <algorithm>
 #include <atomic>
@@ -34,6 +36,7 @@
 #include "graph/graph_conv.h"
 #include "graph/sparse_adjacency.h"
 #include "models/model_factory.h"
+#include "nn/module.h"
 #include "optim/optimizer.h"
 #include "reference/reference.h"
 #include "runtime/allocator.h"
@@ -461,12 +464,13 @@ TEST(SparseTest, BitwiseDeterministicAcrossThreadCounts) {
 }
 
 /// Nonzero mixing coefficients, so A, B and C all reach every hop of the
-/// Damgn's supports.
-void SetMixingCoefficients(core::Damgn* damgn) {
-  for (auto& [name, param] : damgn->NamedParameters()) {
-    if (name == "lambda_a") param.mutable_data().data()[0] = 0.6f;
-    if (name == "lambda_b") param.mutable_data().data()[0] = 0.3f;
-    if (name == "lambda_c") param.mutable_data().data()[0] = 0.4f;
+/// DAMGN's supports. `module` is a Damgn or a model that owns one.
+void SetMixingCoefficients(nn::Module* module) {
+  for (auto& [name, param] : module->NamedParameters()) {
+    const std::string leaf = name.substr(name.rfind('.') + 1);
+    if (leaf == "lambda_a") param.mutable_data().data()[0] = 0.6f;
+    if (leaf == "lambda_b") param.mutable_data().data()[0] = 0.3f;
+    if (leaf == "lambda_c") param.mutable_data().data()[0] = 0.4f;
   }
 }
 
@@ -540,14 +544,15 @@ void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
   }
 }
 
-TEST(SparseTest, MixSupportsWalksEachHopChainOnce) {
-  // The supports of one CombinedSupports call share a hop chain in each
-  // direction: the forward is bitwise the concatenation of independent
-  // ApplySupport calls, gradients agree to reassociation tolerance, and the
-  // dense static part is applied once per hop (3 + 3 with max_hops = 3)
-  // instead of once per hop per support (6 + 6).
+/// The supports of one CombinedSupports call at top-k `k` (0: dense) share
+/// a hop chain in each direction: the forward is bitwise the concatenation
+/// of independent ApplySupport calls, gradients agree to reassociation
+/// tolerance, and the dense per-hop operator (A' on the dense path, its
+/// static part S on the top-k path) is applied once per hop (3 + 3 with
+/// max_hops = 3) instead of once per hop per support (6 + 6).
+void ExpectEachHopChainWalkedOnce(int k) {
   Rng rng(103);
-  const int64_t batch = 2, n = 9, c = 3, k = 4;
+  const int64_t batch = 2, n = 9, c = 3;
   core::Damgn damgn(Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f), n, c,
                     /*mem_dim=*/3, /*embed_dim=*/4, rng);
   SetMixingCoefficients(&damgn);
@@ -557,6 +562,9 @@ TEST(SparseTest, MixSupportsWalksEachHopChainOnce) {
   runtime::RuntimeContext context(options);
   context.exec().topk.store(k, std::memory_order_relaxed);
   runtime::RuntimeContext::Bind bind(context);
+  // [B,N,N] operators apply through BatchMatMul, [N,N] ones through
+  // AdjacencyMatMul.
+  const std::string apply_op = k > 0 ? "adj_matmul" : "bmm";
 
   struct Run {
     Tensor mixed;
@@ -581,7 +589,7 @@ TEST(SparseTest, MixSupportsWalksEachHopChainOnce) {
     }
     ag::Variable loss = ag::SumAll(ag::Square(mixed));
     loss.Backward();
-    Run result{mixed.data().Clone(), CountOpNodes(loss, "adj_matmul"),
+    Run result{mixed.data().Clone(), CountOpNodes(loss, apply_op),
                {x.grad().Clone()}};
     for (const auto& param : damgn.Parameters()) {
       result.grads.push_back(param.grad().Clone());
@@ -605,12 +613,20 @@ TEST(SparseTest, MixSupportsWalksEachHopChainOnce) {
   }
 }
 
-TEST(SparseTest, MixSupportsNeverChainsAcrossCombinedSupportsCalls) {
-  // Hop counts 1 and 2 of one call, interleaved with hop counts 2 and 3 of a
-  // second call on a different signal: each support still computes its own
-  // call's power from x, never a hop past the other call's output.
+TEST(SparseTest, MixSupportsWalksEachHopChainOnce) {
+  for (const int k : {0, 4}) {
+    SCOPED_TRACE("topk=" + std::to_string(k));
+    ExpectEachHopChainWalkedOnce(k);
+  }
+}
+
+/// Hop counts 1 and 2 of one call at top-k `k` (0: dense), interleaved with
+/// hop counts 2 and 3 of a second call on a different signal: each support
+/// still computes its own call's power from x, never a hop past the other
+/// call's output.
+void ExpectNoChainAcrossCalls(int k) {
   Rng rng(107);
-  const int64_t batch = 2, n = 9, c = 3, k = 4;
+  const int64_t batch = 2, n = 9, c = 3;
   core::Damgn damgn(Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f), n, c,
                     /*mem_dim=*/3, /*embed_dim=*/4, rng);
   SetMixingCoefficients(&damgn);
@@ -637,6 +653,103 @@ TEST(SparseTest, MixSupportsNeverChainsAcrossCombinedSupportsCalls) {
   ExpectBitwiseEqual(
       graph::MixSupports(x, interleaved, /*include_self=*/false).data(),
       ag::Concat(parts, -1).data());
+}
+
+TEST(SparseTest, MixSupportsNeverChainsAcrossCombinedSupportsCalls) {
+  for (const int k : {0, 4}) {
+    SCOPED_TRACE("topk=" + std::to_string(k));
+    ExpectNoChainAcrossCalls(k);
+  }
+}
+
+/// One CombinedSupports + MixSupports pass of `damgn` on x0 [B,N,C] with a
+/// non-uniform upstream gradient, under a context with topk = 0: the dense
+/// hop chain, or with `oracle` the materialized-power support set. Returns
+/// the mixed output, d x, then d of every Damgn parameter (B₁, B₂, θ, φ and
+/// the three λs).
+std::vector<Tensor> DenseSupportMixRun(core::Damgn& damgn, const Tensor& x0,
+                                       const Tensor& up, int max_hops,
+                                       bool bidirectional, bool oracle) {
+  runtime::RuntimeContext::Options options;
+  options.private_exec = true;
+  runtime::RuntimeContext context(options);
+  context.exec().topk.store(0, std::memory_order_relaxed);
+  runtime::RuntimeContext::Bind bind(context);
+  damgn.ZeroGrad();
+  ag::Variable x = ag::Variable::Leaf(x0.Clone(), /*requires_grad=*/true);
+  const std::vector<graph::Support> supports =
+      oracle ? reference::DenseCombinedSupports(damgn, x, max_hops,
+                                                bidirectional)
+             : damgn.CombinedSupports(x, max_hops, bidirectional);
+  ag::Variable mixed = graph::MixSupports(x, supports, /*include_self=*/true);
+  ag::SumAll(ag::Mul(mixed, ag::Variable::Leaf(up.Clone(), false)))
+      .Backward();
+  std::vector<Tensor> result{mixed.data().Clone(), x.grad().Clone()};
+  for (const auto& param : damgn.Parameters()) {
+    result.push_back(param.grad().Clone());
+  }
+  return result;
+}
+
+TEST(SparseTest, DenseHopChainMatchesPowerOracle) {
+  // The dense (k=0) DAMGN walks (A')ʰ·X hop by hop; the oracle materializes
+  // the powers. Same function, sums in a different order: forward and every
+  // gradient agree to reassociation tolerance. The chain itself is bitwise
+  // invariant to the thread count and to batching.
+  Rng rng(43);
+  const int64_t c = 3;
+  for (const int64_t n : {5, 37, 130}) {
+    core::Damgn damgn(Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f), n, c,
+                      /*mem_dim=*/4, /*embed_dim=*/5, rng);
+    SetMixingCoefficients(&damgn);
+    for (const int64_t batch : {1, 3}) {
+      for (const int max_hops : {1, 2, 3}) {
+        for (const bool bidirectional : {false, true}) {
+          SCOPED_TRACE("N=" + std::to_string(n) +
+                       " B=" + std::to_string(batch) +
+                       " hops=" + std::to_string(max_hops) +
+                       (bidirectional ? " bidirectional" : ""));
+          const int64_t width = (1 + max_hops * (bidirectional ? 2 : 1)) * c;
+          const Tensor x = Tensor::Randn({batch, n, c}, rng);
+          const Tensor up = Tensor::Randn({batch, n, width}, rng);
+          const auto run = [&](const Tensor& xs, const Tensor& ups,
+                               bool oracle) {
+            return DenseSupportMixRun(damgn, xs, ups, max_hops, bidirectional,
+                                      oracle);
+          };
+
+          const int restore = GetNumThreads();
+          SetNumThreads(1);
+          const std::vector<Tensor> serial = run(x, up, false);
+          SetNumThreads(4);
+          const std::vector<Tensor> got = run(x, up, false);
+          const std::vector<Tensor> want = run(x, up, true);
+          SetNumThreads(restore);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE("tensor " + std::to_string(i));
+            ExpectBitwiseEqual(serial[i], got[i]);
+            ASSERT_EQ(got[i].shape(), want[i].shape());
+            const float* pg = got[i].data();
+            const float* pw = want[i].data();
+            for (int64_t j = 0; j < got[i].numel(); ++j) {
+              EXPECT_NEAR(pg[j], pw[j], 1e-4f * (1.0f + std::fabs(pw[j])))
+                  << "element " << j;
+            }
+          }
+          // Output and d x are per sample; parameter gradients sum over the
+          // batch.
+          for (int64_t b = 0; batch > 1 && b < batch; ++b) {
+            SCOPED_TRACE("sample " + std::to_string(b));
+            const std::vector<Tensor> single =
+                run(ops::Slice(x, 0, b, 1), ops::Slice(up, 0, b, 1), false);
+            ExpectBitwiseEqual(ops::Slice(got[0], 0, b, 1), single[0]);
+            ExpectBitwiseEqual(ops::Slice(got[1], 0, b, 1), single[1]);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SparseTest, SparseTrainingStepsAreAllocationFree) {
@@ -678,7 +791,10 @@ TEST(SparseTest, SparseTrainingStepsAreAllocationFree) {
 
   // Guard against a vacuous pass: with k=4 << N the forward must differ from
   // the dense forward, proving the model really routes through the sparse
-  // DAMGN path (a model without a DAMGN ignores topk entirely).
+  // DAMGN path (a model without a DAMGN ignores topk entirely). At the
+  // initial λ_C = 0 both paths run the same A-only hop chain and agree
+  // bitwise, so C is mixed in first.
+  SetMixingCoefficients(model.get());
   {
     ag::NoGradGuard no_grad;
     Rng rng_sparse(9), rng_dense(9);
