@@ -43,7 +43,11 @@ void BM_Gemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
+// The GEMM rows time wall clock and charge the CPU of every thread:
+// Google Benchmark's default CPU column counts only the calling thread, which
+// hides what a pool region costs.
+BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 void BM_GemmProfiled(benchmark::State& state) {
   // Same kernel as BM_Gemm with the opt-in profiling hooks live; the
@@ -60,7 +64,8 @@ void BM_GemmProfiled(benchmark::State& state) {
   runtime::SetProfilingEnabled(false);
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmProfiled)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_GemmProfiled)->Arg(32)->Arg(64)->Arg(128)->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 void BM_BatchGemmEntityFilters(benchmark::State& state) {
   // The fundamental D-RNN operation: per-entity filters as one bmm.
@@ -75,7 +80,30 @@ void BM_BatchGemmEntityFilters(benchmark::State& state) {
     benchmark::DoNotOptimize(ops::BatchMatMul(x, w));
   }
 }
-BENCHMARK(BM_BatchGemmEntityFilters)->Arg(32)->Arg(128)->Arg(207);
+BENCHMARK(BM_BatchGemmEntityFilters)->Arg(32)->Arg(128)->Arg(207)
+    ->UseRealTime()->MeasureProcessCPUTime();
+
+void BM_BatchGemmBigSlices(benchmark::State& state) {
+  // [B, N, N] x [B, N, C] products on the tiled path at production shapes:
+  // the DAMGN hop apply of train-207 (B=8, 18 channels), a serving-width
+  // apply (B=4, 64 channels) and the N=1024 static-part apply (B=1).
+  const int64_t batch = state.range(0);
+  const int64_t n = state.range(1);
+  const int64_t c = state.range(2);
+  Rng rng(1);
+  Tensor a = Tensor::Randn({batch, n, n}, rng);
+  Tensor x = Tensor::Randn({batch, n, c}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::BatchMatMul(a, x));
+  }
+  state.SetItemsProcessed(state.iterations() * batch * 2 * n * n * c);
+}
+BENCHMARK(BM_BatchGemmBigSlices)
+    ->Args({8, 207, 18})
+    ->Args({4, 207, 64})
+    ->Args({1, 1024, 64})
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 void BM_PerEntityLoopFilters(benchmark::State& state) {
   // Ablation baseline: the same computation as a per-entity GEMM loop.
@@ -380,7 +408,8 @@ void BM_DamgnSupportMix(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_DamgnSupportMix)->Arg(0)->Arg(16);
+BENCHMARK(BM_DamgnSupportMix)->Arg(0)->Arg(16)->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 /// ENHANCENET_FULL=1 rows: the 10k dense GEMM (a ~2 TFLOP step that exists
 /// to show the O(N²) wall). The 10k selection scan moved into the default

@@ -9,6 +9,10 @@
 #   BUILD_DIR=/tmp/build bench/run_bench_ops.sh
 #   ENHANCENET_NUM_THREADS=1 bench/run_bench_ops.sh   # serial baseline
 #   BENCHMARK_REPETITIONS=1 bench/run_bench_ops.sh    # quick single-shot run
+#
+# Besides the sweep, the GEMM rows run again at 1 and at 4 threads; the
+# medians land under the `threads_1_vs_4` key, and the script fails when a
+# row is more than 10% slower at 4 threads than at 1.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -133,6 +137,54 @@ if sweep or sharded:
         json.dump(doc, f, indent=1)
         f.write("\n")
     print("recorded sweep keys")
+EOF
+
+# Thread gate: the GEMM rows at 1 and at 4 threads, one invocation of each
+# per repetition in alternation so both thread counts sample the same
+# machine states. Four threads must never be slower than one: the run fails
+# (leaving the committed artifact untouched) when a row's 4-thread median
+# real time exceeds its 1-thread median by more than 10%.
+GATE_DIR="$(mktemp -d)"
+trap 'rm -f "$TMP"; rm -rf "$GATE_DIR"' EXIT
+for ((rep = 0; rep < REPS; ++rep)); do
+  for threads in 1 4; do
+    ENHANCENET_NUM_THREADS="$threads" "$BUILD_DIR/bench/bench_ops" \
+      --benchmark_format=json \
+      --benchmark_filter='^BM_(Gemm|BatchGemm)' \
+      > "$GATE_DIR/t${threads}_${rep}.json"
+  done
+done
+
+python3 - "$TMP" "$GATE_DIR" "$REPS" <<'EOF'
+import json, statistics, sys
+path, gate_dir, reps = sys.argv[1], sys.argv[2], int(sys.argv[3])
+limit = 1.10
+times = {1: {}, 4: {}}
+for threads in times:
+    for rep in range(reps):
+        run = json.load(open(f"{gate_dir}/t{threads}_{rep}.json"))
+        for b in run["benchmarks"]:
+            times[threads].setdefault(b["run_name"], []).append(b["real_time"])
+rows = {}
+slow = []
+for name in sorted(times[1]):
+    t1 = statistics.median(times[1][name])
+    t4 = statistics.median(times[4].get(name, [float("nan")]))
+    rows[name] = {"threads_1_ns": t1, "threads_4_ns": t4, "ratio": t4 / t1}
+    print(f"thread gate {name}: 1 thread {t1/1e3:.1f}us, "
+          f"4 threads {t4/1e3:.1f}us ({t4/t1:.2f}x)")
+    if not t4 <= limit * t1:
+        slow.append(name)
+doc = json.load(open(path))
+doc["threads_1_vs_4"] = {"threads": [1, 4], "repetitions": reps,
+                         "limit_ratio": limit, "rows": rows}
+with open(path, "w") as f:
+    json.dump(doc, f, indent=1)
+    f.write("\n")
+if slow:
+    print("thread gate FAILED: slower at 4 threads than at 1 by more than "
+          f"{limit - 1:.0%}: {', '.join(slow)}", file=sys.stderr)
+    sys.exit(1)
 EOF
 
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$TMP"

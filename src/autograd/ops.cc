@@ -368,14 +368,6 @@ inline float StableSigmoid(float x) {
   return z / (1.0f + z);
 }
 
-/// Elementwise work below this many output elements runs inline (mirrors the
-/// tensor backend's serial threshold).
-constexpr int64_t kFusedSerialNumel = 16 * 1024;
-
-int64_t RowGrain(int64_t hidden) {
-  return std::max<int64_t>(1, kFusedSerialNumel / std::max<int64_t>(hidden, 1));
-}
-
 /// True when an op over these inputs must record a graph (and therefore save
 /// its activations for the fused backward).
 bool RecordsAny(const Variable& a, const Variable& b, const Variable& c) {
@@ -410,7 +402,9 @@ Variable FusedGruCell(const Variable& gx, const Variable& gh,
     float* pr = record ? r_saved.data() : nullptr;
     float* pu = record ? u_saved.data() : nullptr;
     float* pc = record ? c_saved.data() : nullptr;
-    ParallelFor(0, rows, RowGrain(hs), [=](int64_t r0, int64_t r1) {
+    const int64_t row_cost =
+        hs * (3 * kCostTranscendental + 4 * kCostElement);
+    ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
       for (int64_t row = r0; row < r1; ++row) {
         const float* gxr = pgx + row * 3 * hs;
         const float* ghr = pgh + row * 3 * hs;
@@ -446,7 +440,8 @@ Variable FusedGruCell(const Variable& gx, const Variable& gh,
         float* pdgx = dgx.data();
         float* pdgh = dgh.data();
         float* pdh = dh.data();
-        ParallelFor(0, rows, RowGrain(hs), [=](int64_t r0, int64_t r1) {
+        const int64_t row_cost = hs * 8 * kCostElement;
+        ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
           for (int64_t row = r0; row < r1; ++row) {
             const int64_t base = row * hs;
             const int64_t base3 = row * 3 * hs;
@@ -506,7 +501,9 @@ void FusedLstmCell(const Variable& gates, const Variable& c_prev,
     float* pgg = record ? g_saved.data() : nullptr;
     float* po = record ? o_saved.data() : nullptr;
     float* pt = record ? t_saved.data() : nullptr;
-    ParallelFor(0, rows, RowGrain(hs), [=](int64_t r0, int64_t r1) {
+    const int64_t row_cost =
+        hs * (5 * kCostTranscendental + 4 * kCostElement);
+    ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
       for (int64_t row = r0; row < r1; ++row) {
         const float* garow = pga + row * 4 * hs;
         const int64_t base = row * hs;
@@ -547,7 +544,8 @@ void FusedLstmCell(const Variable& gates, const Variable& c_prev,
         const float* pcp = c_prev.data().data();
         float* pdg = dgates.data();
         float* pdc = dc.data();
-        ParallelFor(0, rows, RowGrain(hs), [=](int64_t r0, int64_t r1) {
+        const int64_t row_cost = hs * 8 * kCostElement;
+        ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
           for (int64_t row = r0; row < r1; ++row) {
             const int64_t base = row * hs;
             const int64_t base4 = row * 4 * hs;
@@ -584,7 +582,8 @@ void FusedLstmCell(const Variable& gates, const Variable& c_prev,
         const float* pcp = c_prev.data().data();
         float* pdg = dgates.data();
         float* pdc = dc.data();
-        ParallelFor(0, rows, RowGrain(hs), [=](int64_t r0, int64_t r1) {
+        const int64_t row_cost = hs * 8 * kCostElement;
+        ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
           for (int64_t row = r0; row < r1; ++row) {
             const int64_t base = row * hs;
             const int64_t base4 = row * 4 * hs;
@@ -624,7 +623,7 @@ Variable GruCombine(const Variable& u, const Variable& h, const Variable& c) {
     const float* ph = h.data().data();
     const float* pc = c.data().data();
     float* po = out.data();
-    ParallelFor(0, n, kFusedSerialNumel, [=](int64_t lo, int64_t hi) {
+    ParallelFor(0, n, 2 * kCostElement, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
         po[i] = pu[i] * ph[i] + (1.0f - pu[i]) * pc[i];
       }
@@ -644,7 +643,7 @@ Variable GruCombine(const Variable& u, const Variable& h, const Variable& c) {
         float* pdu = du.data();
         float* pdh = dh.data();
         float* pdc = dc.data();
-        ParallelFor(0, n, kFusedSerialNumel, [=](int64_t lo, int64_t hi) {
+        ParallelFor(0, n, 3 * kCostElement, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) {
             pdu[i] = pg[i] * (ph[i] - pc[i]);
             pdh[i] = pg[i] * pu[i];
@@ -676,7 +675,9 @@ void FusedGruGates(const Variable& gates, const Variable& h, Variable* rh,
     float* prh = rh_out.data();
     float* pu = u_out.data();
     float* pr = record ? r_saved.data() : nullptr;
-    ParallelFor(0, rows, RowGrain(hs), [=](int64_t r0, int64_t r1) {
+    const int64_t row_cost =
+        hs * (2 * kCostTranscendental + 2 * kCostElement);
+    ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
       for (int64_t row = r0; row < r1; ++row) {
         const float* grow = pg + row * 2 * hs;
         for (int64_t k = 0; k < hs; ++k) {
@@ -703,7 +704,8 @@ void FusedGruGates(const Variable& gates, const Variable& h, Variable* rh,
         const float* ph = h.data().data();
         float* pdg = dgates.data();
         float* pdh = dh.data();
-        ParallelFor(0, rows, RowGrain(hs), [=](int64_t r0, int64_t r1) {
+        const int64_t row_cost = hs * 3 * kCostElement;
+        ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
           for (int64_t row = r0; row < r1; ++row) {
             const int64_t base = row * hs;
             const int64_t base2 = row * 2 * hs;
@@ -727,7 +729,8 @@ void FusedGruGates(const Variable& gates, const Variable& h, Variable* rh,
         const float* pg = g.data();
         const float* pu = u_saved.data();
         float* pdg = dgates.data();
-        ParallelFor(0, rows, RowGrain(hs), [=](int64_t r0, int64_t r1) {
+        const int64_t row_cost = hs * 2 * kCostElement;
+        ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
           for (int64_t row = r0; row < r1; ++row) {
             const int64_t base = row * hs;
             const int64_t base2 = row * 2 * hs;
@@ -833,7 +836,7 @@ void BuildSparseTransposeImpl(SparseIndex* index) {
 
 /// Entries per row of a uniform-degree pattern.
 int64_t SparseDegree(const SparseIndex& index) {
-  return index.nnz / (index.batch * index.n);
+  return index.nnz / std::max<int64_t>(index.batch * index.n, 1);
 }
 
 /// y[b,i,:] = Σ_{e in CSR row (b,i)} values[e] · x[b, cols[e], :].
@@ -842,7 +845,7 @@ void SparseApplyCsr(const SparseIndex& idx, const float* pv, const float* px,
   const int64_t n = idx.n;
   const int32_t* pc = idx.cols.data();
   const int32_t* poff = idx.row_offsets.data();
-  ParallelFor(0, idx.batch * n, RowGrain(channels),
+  ParallelFor(0, idx.batch * n, SparseDegree(idx) * channels * kCostElement,
               [=](int64_t r0, int64_t r1) {
                 for (int64_t r = r0; r < r1; ++r) {
                   const int64_t b = r / n;
@@ -871,7 +874,7 @@ void SparseApplyCsc(const SparseIndex& idx, const float* pv, const float* px,
   const int64_t kk = SparseDegree(idx);
   const int32_t* ptoff = idx.t_row_offsets.data();
   const int32_t* ptp = idx.t_perm.data();
-  ParallelFor(0, idx.batch * n, RowGrain(channels),
+  ParallelFor(0, idx.batch * n, kk * channels * kCostElement,
               [=](int64_t r0, int64_t r1) {
                 for (int64_t tr = r0; tr < r1; ++tr) {
                   const int64_t b = tr / n;
@@ -903,7 +906,7 @@ void SparseValueGrad(const SparseIndex& idx, bool transpose_adj,
   const int64_t n = idx.n;
   const int32_t* pc = idx.cols.data();
   const int32_t* poff = idx.row_offsets.data();
-  ParallelFor(0, idx.batch * n, RowGrain(channels),
+  ParallelFor(0, idx.batch * n, SparseDegree(idx) * channels * kCostElement,
               [=](int64_t r0, int64_t r1) {
                 for (int64_t r = r0; r < r1; ++r) {
                   const int64_t b = r / n;
@@ -1021,7 +1024,7 @@ Variable TopKAttention(const Variable& e_src, const Variable& e_dst, int64_t k,
     const float* ps = scores.data();
     float* pv = values.data();
     int32_t* pc = index->cols.data();
-    ParallelFor(0, rows, RowGrain(n), [=](int64_t r0, int64_t r1) {
+    ParallelFor(0, rows, n * kCostElement, [=](int64_t r0, int64_t r1) {
       for (int64_t r = r0; r < r1; ++r) {
         const float* srow = ps + r * n;
         float* vrow = pv + r * kk;
@@ -1098,7 +1101,8 @@ Variable TopKAttention(const Variable& e_src, const Variable& e_dst, int64_t k,
         // itself is piecewise constant, so unselected scores get zero grad).
         Tensor dsel = Tensor::Uninitialized({batch, n, kk});
         float* pd = dsel.data();
-        ParallelFor(0, rows, RowGrain(kk), [=](int64_t r0, int64_t r1) {
+        const int64_t dsel_cost = 2 * kk * kCostElement;
+        ParallelFor(0, rows, dsel_cost, [=](int64_t r0, int64_t r1) {
           for (int64_t r = r0; r < r1; ++r) {
             const float* grow = pg + r * kk;
             const float* yrow = py + r * kk;
@@ -1115,7 +1119,8 @@ Variable TopKAttention(const Variable& e_src, const Variable& e_dst, int64_t k,
           Tensor de_src = Tensor::Uninitialized(e_src.shape());
           const float* pdst = e_dst.data().data();
           float* pds = de_src.data();
-          ParallelFor(0, rows, RowGrain(e), [=](int64_t r0, int64_t r1) {
+          const int64_t row_cost = kk * e * kCostElement;
+          ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
             for (int64_t r = r0; r < r1; ++r) {
               const int64_t b = r / n;
               float* orow = pds + r * e;
@@ -1138,7 +1143,8 @@ Variable TopKAttention(const Variable& e_src, const Variable& e_dst, int64_t k,
           const int32_t* ptoff = idx.t_row_offsets.data();
           const int32_t* ptp = idx.t_perm.data();
           float* pdd = de_dst.data();
-          ParallelFor(0, rows, RowGrain(e), [=](int64_t r0, int64_t r1) {
+          const int64_t row_cost = kk * e * kCostElement;
+          ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
             for (int64_t tr = r0; tr < r1; ++tr) {
               const int64_t b = tr / n;
               float* orow = pdd + tr * e;
@@ -1225,7 +1231,7 @@ void GatherTapWindows(const float* px, int64_t batch, int64_t n_entities,
                       bool by_entity, float* ps) {
   const int64_t kc = kernel * c_in;
   ParallelFor(
-      0, batch * n_entities, RowGrain(t_out * kc),
+      0, batch * n_entities, t_out * kc * kCostElement,
       [=](int64_t p0, int64_t p1) {
         for (int64_t p = p0; p < p1; ++p) {
           const int64_t b = by_entity ? p % batch : p / n_entities;
@@ -1258,7 +1264,7 @@ void ScatterTapWindows(const float* pds, int64_t batch, int64_t n_entities,
                        bool by_entity, float* pdx) {
   const int64_t kc = kernel * c_in;
   ParallelFor(
-      0, batch * n_entities, RowGrain(t_in * c_in),
+      0, batch * n_entities, t_out * kc * kCostElement,
       [=](int64_t q0, int64_t q1) {
         for (int64_t q = q0; q < q1; ++q) {
           const int64_t b = q / n_entities;
@@ -1290,7 +1296,9 @@ void GatedConvBackwardRows(ops::GemmEpilogue gate, const float* pg,
                            const float* ppre, int64_t rows, int64_t half,
                            float* pdpre) {
   const bool glu = gate == ops::GemmEpilogue::kBiasGlu;
-  ParallelFor(0, rows, RowGrain(2 * half), [=](int64_t r0, int64_t r1) {
+  const int64_t row_cost =
+      half * (2 * kCostTranscendental + 4 * kCostElement);
+  ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       const float* grow = pg + r * half;
       const float* prow = ppre + r * 2 * half;
@@ -1406,7 +1414,7 @@ namespace {
 /// each (b, i) pair moves one contiguous T'·C' block, parallel over pairs.
 void UnfoldEntityRows(const float* pz, int64_t batch, int64_t n_entities,
                       int64_t block, float* po) {
-  ParallelFor(0, batch * n_entities, RowGrain(block),
+  ParallelFor(0, batch * n_entities, block * kCostElement,
               [=](int64_t q0, int64_t q1) {
                 for (int64_t q = q0; q < q1; ++q) {
                   const int64_t b = q / n_entities;
@@ -1420,7 +1428,7 @@ void UnfoldEntityRows(const float* pz, int64_t batch, int64_t n_entities,
 /// Inverse of UnfoldEntityRows: regroups [B, N, T', C'] by entity.
 void FoldEntityRows(const float* po, int64_t batch, int64_t n_entities,
                     int64_t block, float* pz) {
-  ParallelFor(0, batch * n_entities, RowGrain(block),
+  ParallelFor(0, batch * n_entities, block * kCostElement,
               [=](int64_t p0, int64_t p1) {
                 for (int64_t p = p0; p < p1; ++p) {
                   const int64_t i = p / batch;

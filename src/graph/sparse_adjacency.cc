@@ -39,7 +39,7 @@ SparseAdjacency TopKSparsify(const Tensor& dense, int64_t k, int64_t k_cand) {
   const float* pa = dense.data();
   float* pv = values.data();
   int32_t* pc = sparse.index.cols.data();
-  ParallelFor(0, rows, std::max<int64_t>(1, 4096 / cand),
+  ParallelFor(0, rows, cand * kCostElement,
                        [=](int64_t r0, int64_t r1) {
                          for (int64_t r = r0; r < r1; ++r) {
                            const int64_t i = r % n;

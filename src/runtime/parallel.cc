@@ -16,15 +16,15 @@ namespace enhancenet {
 namespace {
 
 // Opt-in (runtime::ProfilingEnabled) accounting of how ParallelFor carves
-// work: regions dispatched to the pool vs. run inline, chunk counts, and
-// what fraction of the available workers a region can actually occupy. The
-// off path costs one relaxed atomic load per region.
+// work: every region, the regions run inline, chunk counts, and what
+// fraction of the available threads a pooled region can actually occupy.
+// The off path costs one relaxed atomic load per region.
 struct ParallelProfile {
   obs::Counter* regions;
   obs::Counter* inline_regions;
   obs::Counter* chunks;
   obs::Histogram* chunks_per_region;
-  obs::Histogram* shard_utilization;
+  obs::Histogram* thread_utilization;
 
   static ParallelProfile& Get() {
     static ParallelProfile profile = [] {
@@ -35,8 +35,8 @@ struct ParallelProfile {
       p.chunks = registry.GetCounter("parallel.chunks");
       p.chunks_per_region = registry.GetHistogram(
           "parallel.chunks_per_region", {1, 2, 4, 8, 16, 32, 64, 128});
-      p.shard_utilization = registry.GetHistogram(
-          "parallel.shard_utilization",
+      p.thread_utilization = registry.GetHistogram(
+          "parallel.thread_utilization",
           {0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0});
       return p;
     }();
@@ -62,9 +62,9 @@ class ThreadPool {
   }
 
   // Runs fn(chunk) for every chunk in [0, num_chunks), using the calling
-  // thread plus up to (participants - 1) workers. Rethrows the first
-  // exception any chunk raised. On return no pool thread is still touching
-  // this job's state.
+  // thread plus up to (participants - 1) workers; only that many workers
+  // are woken. Rethrows the first exception any chunk raised. On return no
+  // pool thread is still touching this job's state.
   void Run(int64_t num_chunks, int participants,
            const std::function<void(int64_t)>& fn) {
     std::lock_guard<std::mutex> run_lock(run_mutex_);
@@ -76,6 +76,7 @@ class ThreadPool {
     // where a late-waking worker from a previous job can see half-written
     // state: if the job it was woken for has already completed, it finds
     // job_active_ == false and goes back to waiting.
+    int wake = 0;
     {
       std::lock_guard<std::mutex> lk(mutex_);
       job_fn_ = &fn;
@@ -85,10 +86,12 @@ class ThreadPool {
       first_error_ = nullptr;
       active_workers_ = std::min<int>(participants - 1,
                                       static_cast<int>(workers_.size()));
+      joined_workers_ = 0;
       job_active_ = true;
       ++generation_;
+      wake = active_workers_;
     }
-    wake_cv_.notify_all();
+    for (int w = 0; w < wake; ++w) wake_cv_.notify_one();
 
     RunChunks();
 
@@ -111,14 +114,13 @@ class ThreadPool {
     std::lock_guard<std::mutex> lk(mutex_);
     wanted = std::min(wanted, 4096);
     while (static_cast<int>(workers_.size()) < wanted) {
-      const int index = static_cast<int>(workers_.size());
       const uint64_t spawn_generation = generation_;
       workers_.emplace_back(
-          [this, index, spawn_generation] { WorkerMain(index, spawn_generation); });
+          [this, spawn_generation] { WorkerMain(spawn_generation); });
     }
   }
 
-  void WorkerMain(int index, uint64_t seen_generation) {
+  void WorkerMain(uint64_t seen_generation) {
     for (;;) {
       {
         std::unique_lock<std::mutex> lk(mutex_);
@@ -126,8 +128,11 @@ class ThreadPool {
         seen_generation = generation_;
         // job_active_ distinguishes a live job from a late wake-up: if this
         // worker was scheduled only after the job it was woken for already
-        // finished, the job's state is gone and must not be entered.
-        if (!job_active_ || index >= active_workers_) continue;
+        // finished, the job's state is gone and must not be entered. The
+        // first active_workers_ workers to arrive join; the rest go back to
+        // waiting.
+        if (!job_active_ || joined_workers_ >= active_workers_) continue;
+        ++joined_workers_;
         // Registered under the same lock as the generation gate: Run() for
         // this job cannot return, and the next job cannot reset state, while
         // this worker is inside RunChunks.
@@ -170,7 +175,8 @@ class ThreadPool {
   std::condition_variable wake_cv_;
   std::condition_variable done_cv_;
   uint64_t generation_ = 0;
-  int active_workers_ = 0;
+  int active_workers_ = 0;   // workers the current job wants
+  int joined_workers_ = 0;   // workers that have joined the current job
   int inflight_ = 0;  // workers currently inside RunChunks
   bool job_active_ = false;  // true between a job's publication and retirement
   std::vector<std::thread> workers_;
@@ -203,42 +209,46 @@ void SetNumThreads(int n) {
 
 bool InParallelRegion() { return tls_in_parallel_region; }
 
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn) {
-  if (end <= begin) return;
-  const int64_t n = end - begin;
-  if (grain < 1) grain = 1;
-  const int threads = GetNumThreads();
-  if (threads <= 1 || n <= grain || tls_in_parallel_region) {
-    if (runtime::ProfilingEnabled()) {
-      ParallelProfile::Get().inline_regions->Add();
+namespace detail {
+
+int64_t PlanChunks(int64_t n, int64_t cost_per_index) {
+  // Below two minimum chunks the region runs inline whatever the thread
+  // count, so the common small call never reads the context.
+  const double total = static_cast<double>(n) *
+                       static_cast<double>(std::max<int64_t>(cost_per_index, 1));
+  int64_t num_chunks = 1;
+  if (total >= 2.0 * static_cast<double>(kMinChunkCost) &&
+      !tls_in_parallel_region) {
+    const int threads = GetNumThreads();
+    const double by_cost = std::min(total / static_cast<double>(kMinChunkCost),
+                                    4.0 * static_cast<double>(threads));
+    // Chunk boundaries depend only on (n, cost_per_index, threads): every
+    // index belongs to exactly one chunk whichever thread runs it.
+    const int64_t wanted = std::min(n, static_cast<int64_t>(by_cost));
+    if (threads > 1 && wanted > 1) {
+      num_chunks = CeilDiv(n, CeilDiv(n, wanted));
     }
-    fn(begin, end);
-    return;
-  }
-  // Up to 4 chunks per thread for load balancing; all chunks except
-  // possibly the final one are at least `grain` indices. Boundaries depend
-  // only on (n, grain, threads); every index belongs to exactly one chunk.
-  const int64_t max_chunks = std::max<int64_t>(
-      1, std::min<int64_t>(n / grain, static_cast<int64_t>(threads) * 4));
-  const int64_t chunk_size = CeilDiv(n, max_chunks);
-  const int64_t num_chunks = CeilDiv(n, chunk_size);
-  if (num_chunks <= 1) {
-    if (runtime::ProfilingEnabled()) {
-      ParallelProfile::Get().inline_regions->Add();
-    }
-    fn(begin, end);
-    return;
   }
   if (runtime::ProfilingEnabled()) {
     ParallelProfile& profile = ParallelProfile::Get();
     profile.regions->Add();
-    profile.chunks->Add(num_chunks);
-    profile.chunks_per_region->Observe(static_cast<double>(num_chunks));
-    profile.shard_utilization->Observe(
-        static_cast<double>(std::min<int64_t>(num_chunks, threads)) /
-        static_cast<double>(threads));
+    if (num_chunks <= 1) {
+      profile.inline_regions->Add();
+    } else {
+      const int threads = GetNumThreads();
+      profile.chunks->Add(num_chunks);
+      profile.chunks_per_region->Observe(static_cast<double>(num_chunks));
+      profile.thread_utilization->Observe(
+          static_cast<double>(std::min<int64_t>(num_chunks, threads)) /
+          static_cast<double>(threads));
+    }
   }
+  return num_chunks;
+}
+
+void RunChunks(int64_t begin, int64_t end, int64_t num_chunks,
+               const std::function<void(int64_t, int64_t)>& fn) {
+  const int64_t chunk_size = CeilDiv(end - begin, num_chunks);
   // Snapshot the caller's thread state once per region; every chunk —
   // whether it lands on a pool worker or back on the caller — re-installs
   // it, so kernels observe the same context, gradient mode, and trace stack
@@ -256,8 +266,12 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
     const int64_t e = std::min(end, b + chunk_size);
     fn(b, e);
   };
-  ThreadPool::Instance().Run(num_chunks, threads, chunk_fn);
+  const int participants = static_cast<int>(
+      std::min<int64_t>(num_chunks, GetNumThreads()));
+  ThreadPool::Instance().Run(num_chunks, participants, chunk_fn);
 }
+
+}  // namespace detail
 
 double ParallelSum(int64_t n,
                    const std::function<double(int64_t, int64_t)>& block_sum) {
@@ -268,7 +282,8 @@ double ParallelSum(int64_t n,
   const int64_t num_blocks = CeilDiv(n, kBlock);
   if (num_blocks == 1) return block_sum(0, n);
   std::vector<double> partials(static_cast<size_t>(num_blocks), 0.0);
-  ParallelFor(0, num_blocks, 1, [&](int64_t b0, int64_t b1) {
+  const int64_t block_cost = kBlock * kCostElement;
+  ParallelFor(0, num_blocks, block_cost, [&](int64_t b0, int64_t b1) {
     for (int64_t b = b0; b < b1; ++b) {
       const int64_t lo = b * kBlock;
       const int64_t hi = std::min(n, lo + kBlock);

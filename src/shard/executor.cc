@@ -15,16 +15,6 @@ namespace shard {
 
 namespace ag = ::enhancenet::autograd;
 
-namespace {
-
-/// Grain matching the RowGrain the single-context kernels use: enough rows
-/// that a chunk amortizes dispatch, scaled down for wide rows.
-int64_t RowGrain(int64_t channels) {
-  return std::max<int64_t>(1, 2048 / std::max<int64_t>(1, channels));
-}
-
-}  // namespace
-
 EntityShardedExecutor::EntityShardedExecutor(ShardPlan plan)
     : plan_(std::move(plan)) {
   ENHANCENET_CHECK(plan_.defined());
@@ -83,7 +73,7 @@ Tensor EntityShardedExecutor::ApplyDense(const Tensor& adj, const Tensor& x) {
     const Tensor slab =
         ops::BatchGemmSharedA(adj, x, /*trans_a=*/false, b0, sz);
     const float* ps = slab.data();
-    ParallelFor(0, batch * sz, RowGrain(channels),
+    ParallelFor(0, batch * sz, channels * kCostElement,
                 [=](int64_t r0, int64_t r1) {
                   for (int64_t rr = r0; rr < r1; ++rr) {
                     const int64_t b = rr / sz;
@@ -122,6 +112,8 @@ Tensor EntityShardedExecutor::ApplySparse(const ag::SparseIndex& index,
   const int32_t* bounds =
       transpose ? index.t_row_offsets.data() : index.row_offsets.data();
   const int32_t* tperm = transpose ? index.t_perm.data() : nullptr;
+  const int64_t row_cost =
+      index.nnz / std::max<int64_t>(batch * n, 1) * channels * kCostElement;
 
   for (int s = 0; s < plan_.num_shards(); ++s) {
     runtime::RuntimeContext::Bind bind(*contexts_[s]);
@@ -137,7 +129,7 @@ Tensor EntityShardedExecutor::ApplySparse(const ag::SparseIndex& index,
     Tensor slab = Tensor::Uninitialized({batch, sz, channels});
     float* ps = slab.data();
     ParallelFor(
-        0, batch * sz, RowGrain(channels), [=](int64_t r0, int64_t r1) {
+        0, batch * sz, row_cost, [=](int64_t r0, int64_t r1) {
           for (int64_t rr = r0; rr < r1; ++rr) {
             const int64_t b = rr / sz;
             const int64_t i = b0 + rr % sz;
@@ -165,7 +157,7 @@ Tensor EntityShardedExecutor::ApplySparse(const ag::SparseIndex& index,
             }
           }
         });
-    ParallelFor(0, batch * sz, RowGrain(channels),
+    ParallelFor(0, batch * sz, channels * kCostElement,
                 [=](int64_t r0, int64_t r1) {
                   for (int64_t rr = r0; rr < r1; ++rr) {
                     const int64_t b = rr / sz;

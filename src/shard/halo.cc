@@ -101,7 +101,7 @@ void HaloExchange::GatherShard(int s, const Tensor& x) {
   const float* px = x.data();
   const int32_t* ids = halo.entities.data();
   float* pb = halo.buffer.data();
-  ParallelFor(0, batch * h, std::max<int64_t>(1, 4096 / channels),
+  ParallelFor(0, batch * h, channels * kCostElement,
               [=](int64_t r0, int64_t r1) {
                 for (int64_t r = r0; r < r1; ++r) {
                   const int64_t b = r / h;

@@ -48,23 +48,7 @@ struct OpsProfile {
 
 #define ENHANCENET_RESTRICT __restrict__
 
-// Tensors with at most this many elements (or an equivalent amount of work)
-// are processed serially: below it, thread hand-off costs more than the loop.
-constexpr int64_t kSerialNumel = 1 << 14;
-
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
-
-// ParallelFor wrapper that keeps the serial fast path free of std::function
-// construction. `body(b, e)` must compute every output element in [b, e)
-// entirely, so results are identical for any thread count.
-template <typename Body>
-inline void For1D(int64_t n, int64_t grain, Body&& body) {
-  if (n <= grain || InParallelRegion()) {
-    body(0, n);
-    return;
-  }
-  ParallelFor(0, n, grain, std::forward<Body>(body));
-}
 
 // Numerically stable logistic sigmoid, shared by ops::Sigmoid and the GEMM
 // gate epilogues so fused and unfused paths are bitwise identical.
@@ -106,7 +90,7 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinaryOp f) {
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out.data();
-    For1D(a.numel(), kSerialNumel, [=](int64_t lo, int64_t hi) {
+    ParallelFor(0, a.numel(), kCostElement, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = f(pa[i], pb[i]);
     });
     return out;
@@ -118,7 +102,7 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinaryOp f) {
     Tensor out = Tensor::Uninitialized(a.shape());
     const float* pa = a.data();
     float* po = out.data();
-    For1D(a.numel(), kSerialNumel, [=](int64_t lo, int64_t hi) {
+    ParallelFor(0, a.numel(), kCostElement, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = f(pa[i], s);
     });
     return out;
@@ -128,7 +112,7 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinaryOp f) {
     Tensor out = Tensor::Uninitialized(b.shape());
     const float* pb = b.data();
     float* po = out.data();
-    For1D(b.numel(), kSerialNumel, [=](int64_t lo, int64_t hi) {
+    ParallelFor(0, b.numel(), kCostElement, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = f(s, pb[i]);
     });
     return out;
@@ -142,8 +126,7 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinaryOp f) {
     float* po = out.data();
     const int64_t inner = b.numel();
     const int64_t rows = a.numel() / std::max<int64_t>(inner, 1);
-    const int64_t grain = std::max<int64_t>(1, kSerialNumel / std::max<int64_t>(inner, 1));
-    For1D(rows, grain, [=](int64_t r0, int64_t r1) {
+    ParallelFor(0, rows, inner * kCostElement, [=](int64_t r0, int64_t r1) {
       for (int64_t r = r0; r < r1; ++r) {
         const float* arow = pa + r * inner;
         float* orow = po + r * inner;
@@ -159,8 +142,7 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinaryOp f) {
     float* po = out.data();
     const int64_t inner = a.numel();
     const int64_t rows = b.numel() / std::max<int64_t>(inner, 1);
-    const int64_t grain = std::max<int64_t>(1, kSerialNumel / std::max<int64_t>(inner, 1));
-    For1D(rows, grain, [=](int64_t r0, int64_t r1) {
+    ParallelFor(0, rows, inner * kCostElement, [=](int64_t r0, int64_t r1) {
       for (int64_t r = r0; r < r1; ++r) {
         const float* brow = pb + r * inner;
         float* orow = po + r * inner;
@@ -213,12 +195,13 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinaryOp f) {
   return out;
 }
 
+// `cost` is f's price per element (runtime/parallel.h units).
 template <typename UnaryOp>
-Tensor Unary(const Tensor& t, UnaryOp f) {
+Tensor Unary(const Tensor& t, int64_t cost, UnaryOp f) {
   Tensor out = Tensor::Uninitialized(t.shape());
   const float* p = t.data();
   float* po = out.data();
-  For1D(t.numel(), kSerialNumel, [=](int64_t lo, int64_t hi) {
+  ParallelFor(0, t.numel(), cost, [=](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) po[i] = f(p[i]);
   });
   return out;
@@ -234,11 +217,12 @@ Tensor Unary(const Tensor& t, UnaryOp f) {
 //  * SmallGemm — the historical serial kernel, extended to read transposed
 //    operands in place. Used for tiny products and for per-slice work inside
 //    a batch-parallel BatchGemm.
-//  * GemmTiled — cache-blocked and register-blocked: B is packed into
+//  * GemmTiledRows — cache-blocked and register-blocked: B is packed into
 //    KC x NR column panels, A into MR x KC row panels, and an MR x NR
-//    micro-kernel accumulates in registers. Parallelism is over row tiles;
-//    each C element is owned by exactly one row tile, and its K-dimension
-//    accumulation order (ascending, KC blocks in ascending order) is fixed.
+//    micro-kernel accumulates in registers. A batched product is one
+//    parallel region over (slice, row tile) items; each C element is owned
+//    by exactly one row tile, and its K-dimension accumulation order
+//    (ascending, KC blocks in ascending order) is fixed.
 // ---------------------------------------------------------------------------
 
 constexpr int64_t kMR = 8;    // micro-kernel rows
@@ -254,7 +238,7 @@ constexpr int64_t kMCTiles = 16;
 // Products with at most this many flops (2*M*N*K) use SmallGemm.
 constexpr int64_t kSmallGemmFlops = 2 * 48 * 48 * 48;
 
-// Epilogue plumbing threaded through GemmDispatch/GemmTiled. All pointers are
+// Epilogue plumbing threaded through BatchGemmIntoRaw. All pointers are
 // slice-local (BatchGemm rebinds them per slice). For the gated kinds the
 // accumulation target is the [m, n] pre-activation buffer (`preact_store`
 // true when the caller wants it kept) and `z` is the separate [m, n/2]
@@ -379,7 +363,7 @@ void SmallGemm(const float* ENHANCENET_RESTRICT a, int64_t lda, bool trans_a,
 
 // Packs row tiles [t_begin, t_end) of A for K block [pc, pc+kc) into row
 // tiles of kMR: dst[it - t_begin][kk][r] = A[it*kMR + r][pc + kk],
-// zero-padded past row m. Serial by design: GemmTiled calls it from inside
+// zero-padded past row m. Serial by design: GemmTiledRows calls it inside
 // parallel compute chunks, each chunk on its own destination buffer.
 void PackATiles(const float* ENHANCENET_RESTRICT a, int64_t lda, bool trans_a,
                 int64_t m, int64_t t_begin, int64_t t_end, int64_t pc,
@@ -410,35 +394,52 @@ void PackATiles(const float* ENHANCENET_RESTRICT a, int64_t lda, bool trans_a,
 
 // Packs the B panel for cols [jc, jc+nc), K block [pc, pc+kc) into column
 // tiles of kNR: bp[tile][kk][r] = B[pc + kk][jc + tile*kNR + r], zero-padded
-// past column jc+nc.
+// past column jc+nc. Serial, like PackATiles: every chunk packs the panels
+// of the slices it computes.
 void PackBPanel(const float* ENHANCENET_RESTRICT b, int64_t ldb, bool trans_b,
                 int64_t jc, int64_t nc, int64_t pc, int64_t kc,
                 float* ENHANCENET_RESTRICT bp) {
   const int64_t n_tiles = CeilDiv(nc, kNR);
-  For1D(n_tiles, 4, [=](int64_t t0, int64_t t1) {
-    for (int64_t jt = t0; jt < t1; ++jt) {
-      float* dst = bp + jt * kc * kNR;
-      const int64_t j0 = jc + jt * kNR;
-      const int64_t nr = std::min(kNR, jc + nc - j0);
-      if (!trans_b) {
-        for (int64_t kk = 0; kk < kc; ++kk) {
-          const float* src = b + (pc + kk) * ldb + j0;
-          for (int64_t r = 0; r < kNR; ++r) {
-            dst[kk * kNR + r] = (r < nr) ? src[r] : 0.0f;
-          }
-        }
-      } else {
+  for (int64_t jt = 0; jt < n_tiles; ++jt) {
+    float* dst = bp + jt * kc * kNR;
+    const int64_t j0 = jc + jt * kNR;
+    const int64_t nr = std::min(kNR, jc + nc - j0);
+    if (!trans_b && nr == kNR) {
+      for (int64_t kk = 0; kk < kc; ++kk) {
+        std::copy(b + (pc + kk) * ldb + j0, b + (pc + kk) * ldb + j0 + kNR,
+                  dst + kk * kNR);
+      }
+    } else if (!trans_b) {
+      for (int64_t kk = 0; kk < kc; ++kk) {
+        const float* src = b + (pc + kk) * ldb + j0;
         for (int64_t r = 0; r < kNR; ++r) {
-          if (r < nr) {
-            const float* src = b + (j0 + r) * ldb + pc;
-            for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kNR + r] = src[kk];
-          } else {
-            for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kNR + r] = 0.0f;
-          }
+          dst[kk * kNR + r] = (r < nr) ? src[r] : 0.0f;
+        }
+      }
+    } else {
+      for (int64_t r = 0; r < kNR; ++r) {
+        if (r < nr) {
+          const float* src = b + (j0 + r) * ldb + pc;
+          for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kNR + r] = src[kk];
+        } else {
+          for (int64_t kk = 0; kk < kc; ++kk) dst[kk * kNR + r] = 0.0f;
         }
       }
     }
-  });
+  }
+}
+
+// Per-thread packing buffers of the tiled kernel, sized for its largest
+// blocks (kMCTiles row tiles of A, a kKC x kNC panel of B) and reused by
+// every tiled product the thread computes.
+struct PackBuffers {
+  std::vector<float> a = std::vector<float>(kMCTiles * kMR * kKC);
+  std::vector<float> b = std::vector<float>(kKC * kNC);
+};
+
+PackBuffers& ThreadPackBuffers() {
+  thread_local PackBuffers buffers;
+  return buffers;
 }
 
 // One micro-kernel column block: kNR floats. GCC/Clang vector extension —
@@ -460,7 +461,7 @@ typedef float VecNR __attribute__((vector_size(kNR * sizeof(float)),
 // hot cache lines, never as a separate pass. `bias` and `preact` are
 // tile-local (already offset to this tile's first column / element; preact
 // shares C's leading dimension). Gated epilogues never reach here — they
-// need both column halves and are applied per row tile by GemmTiled.
+// need both column halves and are applied per row tile by GemmTiledRows.
 void MicroKernel(int64_t kc, const float* ENHANCENET_RESTRICT ap,
                  const float* ENHANCENET_RESTRICT bp,
                  float* ENHANCENET_RESTRICT c, int64_t ldc, int64_t mr,
@@ -509,22 +510,22 @@ void MicroKernel(int64_t kc, const float* ENHANCENET_RESTRICT ap,
   }
 }
 
-// Cache-tiled GEMM accumulating C[M,N] += op(A) * op(B); C must be dense
-// row-major with leading dimension n. Parallel over row tiles. A non-null
-// `epi` is applied exactly once per output element: non-gated kinds inside
-// the micro-kernel write-back of the final K block, gated kinds per row tile
-// once the final (K block, N block) iteration completes the full product row
-// — in both cases inside the For1D chunk that owns those rows, so the result
-// stays bitwise identical for any thread count.
-void GemmTiled(const float* a, int64_t lda, bool trans_a, const float* b,
-               int64_t ldb, bool trans_b, float* c, int64_t m, int64_t k,
-               int64_t n, const EpilogueArgs* epi = nullptr) {
-  const int64_t m_tiles = CeilDiv(m, kMR);
-  const int64_t kc_max = std::min(k, kKC);
-  const int64_t nc_max = std::min(n, kNC);
-  std::vector<float> bp(static_cast<size_t>(CeilDiv(nc_max, kNR) * kNR * kc_max));
-  float* bp_data = bp.data();
-
+// Serial body of the tiled GEMM: accumulates row tiles [t0, t1) of
+// C[M,N] += op(A) * op(B); C must be dense row-major with leading dimension
+// n. A non-null `epi` is applied exactly once per output element:
+// non-gated kinds inside the micro-kernel write-back of the final K block,
+// gated kinds per row tile once the final (K block, N block) iteration
+// completes the full product row. Each element's K accumulation order
+// (ascending, KC blocks in ascending order) is fixed and which tiles share
+// a call never changes a tile's packed contents or its single MicroKernel
+// call per (pc, jc), so any partition of the tiles is bitwise safe.
+void GemmTiledRows(const float* a, int64_t lda, bool trans_a, const float* b,
+                   int64_t ldb, bool trans_b, float* c, int64_t m, int64_t k,
+                   int64_t n, int64_t t0, int64_t t1,
+                   const EpilogueArgs* epi) {
+  PackBuffers& buffers = ThreadPackBuffers();
+  float* ap_data = buffers.a.data();
+  float* bp_data = buffers.b.data();
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
     const bool last_k = pc + kc == k;
@@ -532,61 +533,43 @@ void GemmTiled(const float* a, int64_t lda, bool trans_a, const float* b,
       const int64_t nc = std::min(kNC, n - jc);
       const int64_t n_tiles = CeilDiv(nc, kNR);
       const bool micro_epi = epi && epi->half == 0 && last_k;
-      const bool gated_epi = epi && epi->half > 0 && last_k && jc + nc == n;
       PackBPanel(b, ldb, trans_b, jc, nc, pc, kc, bp_data);
-      For1D(m_tiles, 1, [=](int64_t t0, int64_t t1) {
-        // Each chunk packs at most kMCTiles row tiles of A at a time into
-        // its own cache-sized buffer, then sweeps the B panel over them.
-        // Which sub-block a row tile lands in never changes its packed
-        // contents or its single MicroKernel call per (pc, jc), so results
-        // stay bitwise identical for any chunking.
-        std::vector<float> ap(static_cast<size_t>(
-            std::min(t1 - t0, kMCTiles) * kMR * kc));
-        float* ap_data = ap.data();
-        for (int64_t tb = t0; tb < t1; tb += kMCTiles) {
-          const int64_t te = std::min(t1, tb + kMCTiles);
-          PackATiles(a, lda, trans_a, m, tb, te, pc, kc, ap_data);
-          // jt outer / it inner: the kc x kNR micro-panel of B stays in L1
-          // while it sweeps this sub-block's row tiles.
-          for (int64_t jt = 0; jt < n_tiles; ++jt) {
-            const float* btile = bp_data + jt * kc * kNR;
-            const int64_t j0 = jc + jt * kNR;
-            const int64_t nr = std::min(kNR, jc + nc - j0);
-            for (int64_t it = tb; it < te; ++it) {
-              const int64_t i0 = it * kMR;
-              const int64_t mr = std::min(kMR, m - i0);
-              if (micro_epi) {
-                MicroKernel(kc, ap_data + (it - tb) * kc * kMR, btile,
-                            c + i0 * n + j0, n, mr, nr, epi->kind,
-                            epi->bias + j0,
-                            epi->preact ? epi->preact + i0 * n + j0 : nullptr);
-              } else {
-                MicroKernel(kc, ap_data + (it - tb) * kc * kMR, btile,
-                            c + i0 * n + j0, n, mr, nr);
-              }
+      // At most kMCTiles row tiles of A are packed at a time into the
+      // cache-sized buffer, then the B panel sweeps over them.
+      for (int64_t tb = t0; tb < t1; tb += kMCTiles) {
+        const int64_t te = std::min(t1, tb + kMCTiles);
+        PackATiles(a, lda, trans_a, m, tb, te, pc, kc, ap_data);
+        // jt outer / it inner: the kc x kNR micro-panel of B stays in L1
+        // while it sweeps this sub-block's row tiles.
+        for (int64_t jt = 0; jt < n_tiles; ++jt) {
+          const float* btile = bp_data + jt * kc * kNR;
+          const int64_t j0 = jc + jt * kNR;
+          const int64_t nr = std::min(kNR, jc + nc - j0);
+          for (int64_t it = tb; it < te; ++it) {
+            const int64_t i0 = it * kMR;
+            const int64_t mr = std::min(kMR, m - i0);
+            if (micro_epi) {
+              MicroKernel(kc, ap_data + (it - tb) * kc * kMR, btile,
+                          c + i0 * n + j0, n, mr, nr, epi->kind,
+                          epi->bias + j0,
+                          epi->preact ? epi->preact + i0 * n + j0 : nullptr);
+            } else {
+              MicroKernel(kc, ap_data + (it - tb) * kc * kMR, btile,
+                          c + i0 * n + j0, n, mr, nr);
             }
           }
         }
-        if (gated_epi) {
-          ApplyGatedEpilogueRows(*epi, c, n, t0 * kMR,
-                                 std::min(t1 * kMR, m));
-        }
-      });
+      }
     }
+  }
+  if (epi && epi->half > 0) {
+    ApplyGatedEpilogueRows(*epi, c, n, t0 * kMR, std::min(t1 * kMR, m));
   }
 }
 
-// Size-based dispatch shared by Gemm and BatchGemm slices. Regime choice
-// depends on problem size only, never on the epilogue or thread count.
-void GemmDispatch(const float* a, int64_t lda, bool trans_a, const float* b,
-                  int64_t ldb, bool trans_b, float* c, int64_t m, int64_t k,
-                  int64_t n, const EpilogueArgs* epi = nullptr) {
-  if (2 * m * k * n <= kSmallGemmFlops) {
-    SmallGemm(a, lda, trans_a, b, ldb, trans_b, c, m, k, n);
-    if (epi) ApplyEpilogueAllRows(*epi, c, m, n);
-  } else {
-    GemmTiled(a, lda, trans_a, b, ldb, trans_b, c, m, k, n, epi);
-  }
+// Cost of one kMR-row tile of a tiled product with inner dim k, width n.
+int64_t RowTileCost(int64_t k, int64_t n) {
+  return 2 * kMR * k * n * kCostFlop;
 }
 
 constexpr int64_t kTransposeBlock = 32;
@@ -601,10 +584,7 @@ void MaterializeTranspose2DInto(const Tensor& t, float* po) {
   // L1 while it is written out column-contiguously. Parallel over output
   // rows (= input columns); pure scatter-free writes, so any partition is
   // bitwise safe.
-  const int64_t grain =
-      std::max<int64_t>(kTransposeBlock,
-                        kSerialNumel / std::max<int64_t>(rows, 1));
-  For1D(cols, grain, [=](int64_t j0, int64_t j1) {
+  ParallelFor(0, cols, rows * kCostElement, [=](int64_t j0, int64_t j1) {
     for (int64_t ib = 0; ib < rows; ib += kTransposeBlock) {
       const int64_t imax = std::min(ib + kTransposeBlock, rows);
       for (int64_t j = j0; j < j1; ++j) {
@@ -662,12 +642,8 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
       float* po = out.data();
       // Partition over output columns: each column's row-sum is computed by
       // one thread in ascending row order, so the result is bitwise
-      // identical for any thread count. Chunks stay >= 64 columns so
-      // narrow bias reductions keep the serial path (a thread would pull
-      // whole cache lines for a few-column slice otherwise).
-      const int64_t grain =
-          std::max<int64_t>(64, kSerialNumel / std::max<int64_t>(rows, 1));
-      For1D(inner, grain, [=](int64_t i0, int64_t i1) {
+      // identical for any thread count.
+      ParallelFor(0, inner, rows * kCostElement, [=](int64_t i0, int64_t i1) {
         for (int64_t r = 0; r < rows; ++r) {
           const float* row = p + r * inner;
           for (int64_t i = i0; i < i1; ++i) po[i] += row[i];
@@ -730,55 +706,57 @@ Tensor Maximum(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Neg(const Tensor& t) {
-  return Unary(t, [](float x) { return -x; });
+  return Unary(t, kCostElement, [](float x) { return -x; });
 }
 
 Tensor Abs(const Tensor& t) {
-  return Unary(t, [](float x) { return std::fabs(x); });
+  return Unary(t, kCostElement, [](float x) { return std::fabs(x); });
 }
 
 Tensor Sign(const Tensor& t) {
-  return Unary(t, [](float x) { return x > 0 ? 1.0f : (x < 0 ? -1.0f : 0.0f); });
+  return Unary(t, kCostElement,
+               [](float x) { return x > 0 ? 1.0f : (x < 0 ? -1.0f : 0.0f); });
 }
 
 Tensor Sigmoid(const Tensor& t) {
-  return Unary(t, [](float x) { return StableSigmoidScalar(x); });
+  return Unary(t, kCostTranscendental,
+               [](float x) { return StableSigmoidScalar(x); });
 }
 
 Tensor Tanh(const Tensor& t) {
-  return Unary(t, [](float x) { return std::tanh(x); });
+  return Unary(t, kCostTranscendental, [](float x) { return std::tanh(x); });
 }
 
 Tensor Relu(const Tensor& t) {
-  return Unary(t, [](float x) { return x > 0 ? x : 0.0f; });
+  return Unary(t, kCostElement, [](float x) { return x > 0 ? x : 0.0f; });
 }
 
 Tensor ReluMask(const Tensor& t) {
-  return Unary(t, [](float x) { return x > 0 ? 1.0f : 0.0f; });
+  return Unary(t, kCostElement, [](float x) { return x > 0 ? 1.0f : 0.0f; });
 }
 
 Tensor Exp(const Tensor& t) {
-  return Unary(t, [](float x) { return std::exp(x); });
+  return Unary(t, kCostTranscendental, [](float x) { return std::exp(x); });
 }
 
 Tensor Log(const Tensor& t) {
-  return Unary(t, [](float x) { return std::log(x); });
+  return Unary(t, kCostTranscendental, [](float x) { return std::log(x); });
 }
 
 Tensor Sqrt(const Tensor& t) {
-  return Unary(t, [](float x) { return std::sqrt(x); });
+  return Unary(t, kCostElement, [](float x) { return std::sqrt(x); });
 }
 
 Tensor Square(const Tensor& t) {
-  return Unary(t, [](float x) { return x * x; });
+  return Unary(t, kCostElement, [](float x) { return x * x; });
 }
 
 Tensor AddScalar(const Tensor& t, float s) {
-  return Unary(t, [s](float x) { return x + s; });
+  return Unary(t, kCostElement, [s](float x) { return x + s; });
 }
 
 Tensor MulScalar(const Tensor& t, float s) {
-  return Unary(t, [s](float x) { return x * s; });
+  return Unary(t, kCostElement, [s](float x) { return x * s; });
 }
 
 void AxpyInPlace(float alpha, const Tensor& x, Tensor* y) {
@@ -787,7 +765,7 @@ void AxpyInPlace(float alpha, const Tensor& x, Tensor* y) {
       << ShapeToString(y->shape());
   const float* px = x.data();
   float* py = y->data();
-  For1D(x.numel(), kSerialNumel, [=](int64_t lo, int64_t hi) {
+  ParallelFor(0, x.numel(), kCostElement, [=](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) py[i] += alpha * px[i];
   });
 }
@@ -823,70 +801,6 @@ bool CheckEpilogue(GemmEpilogue epilogue, const Tensor* bias, int64_t n,
   return true;
 }
 
-}  // namespace
-
-bool IsGatedEpilogue(GemmEpilogue epilogue) {
-  return epilogue == GemmEpilogue::kBiasGatedTanhSigmoid ||
-         epilogue == GemmEpilogue::kBiasGlu;
-}
-
-Tensor Gemm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
-            GemmEpilogue epilogue, const Tensor* bias, Tensor* preact) {
-  ENHANCENET_CHECK_EQ(a.dim(), 2);
-  ENHANCENET_CHECK_EQ(b.dim(), 2);
-  const int64_t m = trans_a ? a.size(1) : a.size(0);
-  const int64_t k = trans_a ? a.size(0) : a.size(1);
-  const int64_t kb = trans_b ? b.size(1) : b.size(0);
-  ENHANCENET_CHECK_EQ(k, kb) << "gemm inner dims: " << ShapeToString(a.shape())
-                             << " x " << ShapeToString(b.shape());
-  const int64_t n = trans_b ? b.size(0) : b.size(1);
-  if (runtime::ProfilingEnabled()) {
-    OpsProfile& profile = OpsProfile::Get();
-    profile.gemm_calls->Add();
-    profile.gemm_flops->Add(2 * m * k * n);
-  }
-  EpilogueArgs e;
-  const bool has_epi = CheckEpilogue(epilogue, bias, n, &e);
-  if (!has_epi || e.half == 0) {
-    // The output tensor is the accumulator; any non-gated epilogue folds
-    // into its write-back.
-    if (preact != nullptr) {
-      ENHANCENET_CHECK(epilogue == GemmEpilogue::kBiasTanh ||
-                       epilogue == GemmEpilogue::kBiasSigmoid)
-          << "gemm preact is only produced by activation epilogues";
-      ENHANCENET_CHECK(preact->shape() == (Shape{m, n}))
-          << "gemm preact must be [" << m << ", " << n << "]";
-      e.preact = preact->data();
-    }
-    Tensor c(Shape{m, n});
-    GemmDispatch(a.data(), a.size(1), trans_a, b.data(), b.size(1), trans_b,
-                 c.data(), m, k, n, has_epi ? &e : nullptr);
-    return c;
-  }
-  // Gated: accumulate the full-width product into the pre-activation buffer
-  // (caller's, or workspace scratch), then gate into the half-width output.
-  Tensor acc;
-  if (preact != nullptr) {
-    ENHANCENET_CHECK(preact->shape() == (Shape{m, n}))
-        << "gemm preact must be [" << m << ", " << n << "]";
-    acc = *preact;
-    e.preact = acc.data();
-  } else {
-    acc = EpilogueScratch(Shape{m, n});
-  }
-  std::fill(acc.data(), acc.data() + acc.numel(), 0.0f);
-  Tensor z = Tensor::Uninitialized(Shape{m, e.half});
-  e.z = z.data();
-  GemmDispatch(a.data(), a.size(1), trans_a, b.data(), b.size(1), trans_b,
-               acc.data(), m, k, n, &e);
-  return z;
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  return Gemm(a, b, /*trans_a=*/false, /*trans_b=*/false);
-}
-
-namespace {
 
 struct BatchGemmDims {
   int64_t batch, m, k, n;
@@ -932,46 +846,53 @@ SliceOperand Slices(const Tensor& t) {
   return {t.data(), t.size(1) * t.size(2), t.size(2)};
 }
 
+int64_t SliceFlops(const BatchGemmDims& d) { return 2 * d.m * d.k * d.n; }
+
+void CountBatchGemm(const BatchGemmDims& d) {
+  if (!runtime::ProfilingEnabled()) return;
+  OpsProfile& profile = OpsProfile::Get();
+  profile.batch_gemm_calls->Add();
+  profile.batch_gemm_slices->Add(d.batch);
+  profile.batch_gemm_flops->Add(d.batch * SliceFlops(d));
+}
+
 // Runs the batched product into `pc`, which must point at batch*m*n ZEROED
-// floats — the inner kernels accumulate C += op(A)*op(B). A non-null `epi`
-// holds batch-base pointers; each slice's epilogue is applied inside the
-// chunk that computes that slice. `regime_flops` picks the kernel: one
-// slice's 2*m*k*n, except for a row block of a shared operand, which takes
-// the regime of the whole product so its rows keep their bits.
+// floats — the inner kernels accumulate C += op(A)*op(B). Gemm is the
+// batch = 1 case. A non-null `epi` holds batch-base pointers; each slice's
+// epilogue is applied inside the chunk that computes that slice's rows.
+// `regime_flops` picks the kernel: one slice's 2*m*k*n, except for a row
+// block of a shared operand, which takes the regime of the whole product so
+// its rows keep their bits. Either regime is one parallel region.
 void BatchGemmIntoRaw(SliceOperand a, bool trans_a, SliceOperand b,
                       bool trans_b, const BatchGemmDims& d,
                       int64_t regime_flops, float* pc,
                       const EpilogueArgs* epi = nullptr) {
-  const int64_t batch = d.batch;
   const int64_t m = d.m;
   const int64_t k = d.k;
   const int64_t n = d.n;
-  if (runtime::ProfilingEnabled()) {
-    OpsProfile& profile = OpsProfile::Get();
-    profile.batch_gemm_calls->Add();
-    profile.batch_gemm_slices->Add(batch);
-    profile.batch_gemm_flops->Add(batch * 2 * m * k * n);
-  }
   const int64_t c_stride = m * n;
   if (regime_flops > kSmallGemmFlops) {
-    // Big slices: let the tiled kernel parallelize over rows inside each
-    // slice (batch is often smaller than the thread count here).
-    for (int64_t i = 0; i < batch; ++i) {
-      if (epi) {
-        const EpilogueArgs se = SliceEpilogue(*epi, i, m, n);
-        GemmTiled(a.data + i * a.stride, a.ld, trans_a, b.data + i * b.stride,
-                  b.ld, trans_b, pc + i * c_stride, m, k, n, &se);
-      } else {
-        GemmTiled(a.data + i * a.stride, a.ld, trans_a, b.data + i * b.stride,
-                  b.ld, trans_b, pc + i * c_stride, m, k, n);
-      }
-    }
+    // Work items are (slice, row tile) pairs in slice-major order, so a
+    // chunk covers a run of row tiles of one or a few consecutive slices.
+    const int64_t m_tiles = CeilDiv(m, kMR);
+    ParallelFor(
+        0, d.batch * m_tiles, RowTileCost(k, n), [=](int64_t w0, int64_t w1) {
+          for (int64_t i = w0 / m_tiles; i * m_tiles < w1; ++i) {
+            const int64_t t0 = std::max<int64_t>(w0 - i * m_tiles, 0);
+            const int64_t t1 = std::min(w1 - i * m_tiles, m_tiles);
+            const EpilogueArgs se =
+                epi ? SliceEpilogue(*epi, i, m, n) : EpilogueArgs{};
+            GemmTiledRows(a.data + i * a.stride, a.ld, trans_a,
+                          b.data + i * b.stride, b.ld, trans_b,
+                          pc + i * c_stride, m, k, n, t0, t1,
+                          epi ? &se : nullptr);
+          }
+        });
   } else {
-    // Small slices (the per-entity filter banks): parallelize over the batch
-    // dimension, several slices per chunk.
-    const int64_t grain = std::max<int64_t>(
-        1, (4 * kSmallGemmFlops) / std::max<int64_t>(2 * m * k * n, 1));
-    For1D(batch, grain, [=](int64_t b0, int64_t b1) {
+    // Small slices (the per-entity filter banks): several whole slices per
+    // chunk.
+    const int64_t slice_cost = SliceFlops(d) * kCostFlop;
+    ParallelFor(0, d.batch, slice_cost, [=](int64_t b0, int64_t b1) {
       for (int64_t i = b0; i < b1; ++i) {
         SmallGemm(a.data + i * a.stride, a.ld, trans_a, b.data + i * b.stride,
                   b.ld, trans_b, pc + i * c_stride, m, k, n);
@@ -984,13 +905,77 @@ void BatchGemmIntoRaw(SliceOperand a, bool trans_a, SliceOperand b,
   }
 }
 
-int64_t SliceFlops(const BatchGemmDims& d) { return 2 * d.m * d.k * d.n; }
-
 }  // namespace
+
+bool IsGatedEpilogue(GemmEpilogue epilogue) {
+  return epilogue == GemmEpilogue::kBiasGatedTanhSigmoid ||
+         epilogue == GemmEpilogue::kBiasGlu;
+}
+
+Tensor Gemm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
+            GemmEpilogue epilogue, const Tensor* bias, Tensor* preact) {
+  ENHANCENET_CHECK_EQ(a.dim(), 2);
+  ENHANCENET_CHECK_EQ(b.dim(), 2);
+  const int64_t m = trans_a ? a.size(1) : a.size(0);
+  const int64_t k = trans_a ? a.size(0) : a.size(1);
+  const int64_t kb = trans_b ? b.size(1) : b.size(0);
+  ENHANCENET_CHECK_EQ(k, kb) << "gemm inner dims: " << ShapeToString(a.shape())
+                             << " x " << ShapeToString(b.shape());
+  const int64_t n = trans_b ? b.size(0) : b.size(1);
+  if (runtime::ProfilingEnabled()) {
+    OpsProfile& profile = OpsProfile::Get();
+    profile.gemm_calls->Add();
+    profile.gemm_flops->Add(2 * m * k * n);
+  }
+  const BatchGemmDims d{1, m, k, n};
+  const SliceOperand sa{a.data(), 0, a.size(1)};
+  const SliceOperand sb{b.data(), 0, b.size(1)};
+  EpilogueArgs e;
+  const bool has_epi = CheckEpilogue(epilogue, bias, n, &e);
+  if (!has_epi || e.half == 0) {
+    // The output tensor is the accumulator; any non-gated epilogue folds
+    // into its write-back.
+    if (preact != nullptr) {
+      ENHANCENET_CHECK(epilogue == GemmEpilogue::kBiasTanh ||
+                       epilogue == GemmEpilogue::kBiasSigmoid)
+          << "gemm preact is only produced by activation epilogues";
+      ENHANCENET_CHECK(preact->shape() == (Shape{m, n}))
+          << "gemm preact must be [" << m << ", " << n << "]";
+      e.preact = preact->data();
+    }
+    Tensor c(Shape{m, n});
+    BatchGemmIntoRaw(sa, trans_a, sb, trans_b, d, SliceFlops(d), c.data(),
+                     has_epi ? &e : nullptr);
+    return c;
+  }
+  // Gated: accumulate the full-width product into the pre-activation buffer
+  // (caller's, or workspace scratch), then gate into the half-width output.
+  Tensor acc;
+  if (preact != nullptr) {
+    ENHANCENET_CHECK(preact->shape() == (Shape{m, n}))
+        << "gemm preact must be [" << m << ", " << n << "]";
+    acc = *preact;
+    e.preact = acc.data();
+  } else {
+    acc = EpilogueScratch(Shape{m, n});
+  }
+  std::fill(acc.data(), acc.data() + acc.numel(), 0.0f);
+  Tensor z = Tensor::Uninitialized(Shape{m, e.half});
+  e.z = z.data();
+  BatchGemmIntoRaw(sa, trans_a, sb, trans_b, d, SliceFlops(d), acc.data(),
+                   &e);
+  return z;
+}
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  return Gemm(a, b, /*trans_a=*/false, /*trans_b=*/false);
+}
+
 
 Tensor BatchGemm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
                  GemmEpilogue epilogue, const Tensor* bias, Tensor* preact) {
   const BatchGemmDims d = CheckBatchGemmDims(a, b, trans_a, trans_b);
+  CountBatchGemm(d);
   EpilogueArgs e;
   const bool has_epi = CheckEpilogue(epilogue, bias, d.n, &e);
   if (!has_epi || e.half == 0) {
@@ -1036,6 +1021,7 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   ENHANCENET_CHECK(out->shape() == expected)
       << "BatchMatMulInto: out shape " << ShapeToString(out->shape())
       << " != " << ShapeToString(expected);
+  CountBatchGemm(d);
   // The GEMM kernels accumulate, and `out` may be recycled workspace memory
   // holding stale values — zero it first.
   std::fill(out->data(), out->data() + out->numel(), 0.0f);
@@ -1063,6 +1049,7 @@ Tensor BatchGemmSharedA(const Tensor& a, const Tensor& b, bool trans_a,
   const int64_t lda = a.size(1);
   const SliceOperand shared{a.data() + (trans_a ? row_begin : row_begin * lda),
                             /*stride=*/0, lda};
+  CountBatchGemm(d);
   Tensor c(Shape{d.batch, d.m, d.n});
   BatchGemmIntoRaw(shared, trans_a, Slices(b), /*trans_b=*/false, d,
                    /*regime_flops=*/2 * m * d.k * d.n, c.data());
@@ -1072,21 +1059,30 @@ Tensor BatchGemmSharedA(const Tensor& a, const Tensor& b, bool trans_a,
 Tensor BatchGemmSum(const Tensor& a, const Tensor& b, bool trans_a,
                     bool trans_b) {
   const BatchGemmDims d = CheckBatchGemmDims(a, b, trans_a, trans_b);
-  if (runtime::ProfilingEnabled()) {
-    OpsProfile& profile = OpsProfile::Get();
-    profile.batch_gemm_calls->Add();
-    profile.batch_gemm_slices->Add(d.batch);
-    profile.batch_gemm_flops->Add(d.batch * SliceFlops(d));
-  }
+  CountBatchGemm(d);
   const SliceOperand sa = Slices(a);
   const SliceOperand sb = Slices(b);
-  // Every slice accumulates into the same output, one after another.
+  // Every slice accumulates into the same output, one after another, each
+  // in the regime its own size picks.
   Tensor c(Shape{d.m, d.n});
-  for (int64_t i = 0; i < d.batch; ++i) {
-    GemmDispatch(sa.data + i * sa.stride, sa.ld, trans_a,
-                 sb.data + i * sb.stride, sb.ld, trans_b, c.data(), d.m, d.k,
-                 d.n);
+  float* pc = c.data();
+  if (SliceFlops(d) <= kSmallGemmFlops) {
+    for (int64_t i = 0; i < d.batch; ++i) {
+      SmallGemm(sa.data + i * sa.stride, sa.ld, trans_a,
+                sb.data + i * sb.stride, sb.ld, trans_b, pc, d.m, d.k, d.n);
+    }
+    return c;
   }
+  // One region over C's row tiles; each chunk adds the slices in ascending
+  // order, so every element sums them in the same order for any partition.
+  ParallelFor(0, CeilDiv(d.m, kMR), d.batch * RowTileCost(d.k, d.n),
+              [=](int64_t t0, int64_t t1) {
+                for (int64_t i = 0; i < d.batch; ++i) {
+                  GemmTiledRows(sa.data + i * sa.stride, sa.ld, trans_a,
+                                sb.data + i * sb.stride, sb.ld, trans_b, pc,
+                                d.m, d.k, d.n, t0, t1, nullptr);
+                }
+              });
   return c;
 }
 
@@ -1347,9 +1343,8 @@ Tensor Sum(const Tensor& t, int64_t axis, bool keepdim) {
   if (outer > 1) {
     // Partition over the outer dimension; each output block po[o*inner ..]
     // is owned by one thread and accumulated in ascending `mid` order.
-    const int64_t grain = std::max<int64_t>(
-        1, kSerialNumel / std::max<int64_t>(mid * inner, 1));
-    For1D(outer, grain, [=](int64_t o0, int64_t o1) {
+    const int64_t block_cost = mid * inner * kCostElement;
+    ParallelFor(0, outer, block_cost, [=](int64_t o0, int64_t o1) {
       for (int64_t o = o0; o < o1; ++o) {
         float* orow = po + o * inner;
         for (int64_t m = 0; m < mid; ++m) {
@@ -1359,11 +1354,8 @@ Tensor Sum(const Tensor& t, int64_t axis, bool keepdim) {
       }
     });
   } else {
-    // Axis 0 of a flat tensor: partition over output columns instead
-    // (>= 64 columns per chunk to avoid cache-line sharing).
-    const int64_t grain =
-        std::max<int64_t>(64, kSerialNumel / std::max<int64_t>(mid, 1));
-    For1D(inner, grain, [=](int64_t i0, int64_t i1) {
+    // Axis 0 of a flat tensor: partition over output columns instead.
+    ParallelFor(0, inner, mid * kCostElement, [=](int64_t i0, int64_t i1) {
       for (int64_t m = 0; m < mid; ++m) {
         const float* row = p + m * inner;
         for (int64_t i = i0; i < i1; ++i) po[i] += row[i];
@@ -1387,9 +1379,9 @@ void SoftmaxRowsInto(const Tensor& t, float* po) {
   const int64_t cols = t.size(-1);
   const int64_t rows = t.numel() / cols;
   const float* p = t.data();
-  const int64_t grain =
-      std::max<int64_t>(1, kSerialNumel / std::max<int64_t>(cols, 1));
-  For1D(rows, grain, [=](int64_t r0, int64_t r1) {
+  // Per element: one exp plus the max, sum and scale passes.
+  const int64_t row_cost = cols * (kCostTranscendental + 3 * kCostElement);
+  ParallelFor(0, rows, row_cost, [=](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       const float* row = p + r * cols;
       float* orow = po + r * cols;

@@ -1,5 +1,6 @@
 #include "runtime/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -9,6 +10,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "runtime/context.h"
 
 namespace enhancenet {
 namespace {
@@ -42,22 +45,32 @@ TEST_F(ParallelTest, EmptyRangeNeverInvokes) {
   EXPECT_EQ(calls, 0);
 }
 
-TEST_F(ParallelTest, RangeAtMostGrainRunsInlineAsOneChunk) {
+TEST_F(ParallelTest, CostBelowMinimumRunsInlineAsOneCall) {
   SetNumThreads(4);
-  std::vector<std::pair<int64_t, int64_t>> chunks;
-  ParallelFor(3, 20, 100, [&](int64_t b, int64_t e) {
-    chunks.emplace_back(b, e);  // single inline call: no race possible
-  });
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].first, 3);
-  EXPECT_EQ(chunks[0].second, 20);
+  const std::thread::id caller = std::this_thread::get_id();
+  // 17 indices whose total cost falls just short of one minimum chunk, and
+  // a single index costing almost two: neither is worth a thread.
+  const std::pair<int64_t, int64_t> cases[] = {
+      {17, kMinChunkCost / 17 - 1}, {1, 2 * kMinChunkCost - 1}};
+  for (const auto& [n, cost] : cases) {
+    std::vector<std::pair<int64_t, int64_t>> chunks;
+    bool on_caller = true;
+    ParallelFor(3, 3 + n, cost, [&](int64_t b, int64_t e) {
+      chunks.emplace_back(b, e);  // single inline call: no race possible
+      on_caller = on_caller && std::this_thread::get_id() == caller;
+    });
+    ASSERT_EQ(chunks.size(), 1u) << "n=" << n;
+    EXPECT_EQ(chunks[0].first, 3);
+    EXPECT_EQ(chunks[0].second, 3 + n);
+    EXPECT_TRUE(on_caller);
+  }
 }
 
 TEST_F(ParallelTest, CoversEveryIndexExactlyOnce) {
   SetNumThreads(4);
   const int64_t n = 10007;  // prime: no chunking lines up evenly
   std::vector<int> hits(n, 0);
-  ParallelFor(0, n, 16, [&](int64_t b, int64_t e) {
+  ParallelFor(0, n, kMinChunkCost / 8, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) ++hits[i];  // index owned by one chunk
   });
   for (int64_t i = 0; i < n; ++i) {
@@ -65,36 +78,67 @@ TEST_F(ParallelTest, CoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST_F(ParallelTest, GrainIsMinimumChunkSizeExceptFinalChunk) {
-  SetNumThreads(4);
-  const int64_t n = 977;
-  const int64_t grain = 100;
-  std::mutex mu;
-  std::vector<std::pair<int64_t, int64_t>> chunks;
-  ParallelFor(0, n, grain, [&](int64_t b, int64_t e) {
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.emplace_back(b, e);
-  });
-  ASSERT_FALSE(chunks.empty());
-  int undersized = 0;
-  for (const auto& [b, e] : chunks) {
-    ASSERT_LT(b, e);
-    if (e - b < grain) ++undersized;
+TEST_F(ParallelTest, ChunksCarryMinimumCostAndNumberAtMostFourPerThread) {
+  // {threads, n, cost per index}: total cost of 2.5, 9.7 and thousands of
+  // minimum chunks, and a range whose every index is worth a chunk.
+  const int64_t cases[][3] = {{4, 977, kMinChunkCost / 390},
+                              {4, 977, kMinChunkCost / 100},
+                              {3, 100003, kMinChunkCost / 16},
+                              {2, 5, 4 * kMinChunkCost}};
+  for (const auto& [threads, n, cost] : cases) {
+    SetNumThreads(static_cast<int>(threads));
+    std::mutex mu;
+    std::vector<std::pair<int64_t, int64_t>> chunks;
+    ParallelFor(0, n, cost, [&](int64_t b, int64_t e) {
+      std::lock_guard<std::mutex> lock(mu);
+      chunks.emplace_back(b, e);
+    });
+    std::sort(chunks.begin(), chunks.end());
+    ASSERT_GE(chunks.size(), 2u) << "n=" << n;
+    EXPECT_LE(static_cast<int64_t>(chunks.size()), 4 * threads) << "n=" << n;
+    int64_t next = 0;
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      const auto [b, e] = chunks[c];
+      ASSERT_EQ(b, next) << "n=" << n;
+      ASSERT_LT(b, e);
+      if (c + 1 < chunks.size()) {
+        EXPECT_GE((e - b) * cost, kMinChunkCost) << "n=" << n << " chunk " << c;
+      }
+      next = e;
+    }
+    EXPECT_EQ(next, n);
   }
-  EXPECT_LE(undersized, 1);
+}
+
+TEST_F(ParallelTest, EveryRegionIsCountedOnce) {
+  SetNumThreads(4);
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter* regions = registry.GetCounter("parallel.regions");
+  obs::Counter* inline_regions = registry.GetCounter("parallel.inline_regions");
+  runtime::SetProfilingEnabled(true);
+  const int64_t regions_before = regions->Get();
+  const int64_t inline_before = inline_regions->Get();
+  ParallelFor(0, 10, 1, [](int64_t, int64_t) {});              // inline
+  ParallelFor(0, 64, kMinChunkCost, [](int64_t, int64_t) {});  // pooled
+  SetNumThreads(1);
+  ParallelFor(0, 64, kMinChunkCost, [](int64_t, int64_t) {});  // inline
+  runtime::SetProfilingEnabled(false);
+  EXPECT_EQ(regions->Get() - regions_before, 3);
+  EXPECT_EQ(inline_regions->Get() - inline_before, 2);
 }
 
 TEST_F(ParallelTest, PropagatesFirstExceptionAndPoolSurvives) {
   SetNumThreads(4);
   EXPECT_THROW(
-      ParallelFor(0, 100000, 1,
+      ParallelFor(0, 100000, kMinChunkCost,
                   [&](int64_t b, int64_t) {
                     if (b >= 25000) throw std::runtime_error("boom");
                   }),
       std::runtime_error);
   // The pool must be reusable after an exception.
   std::atomic<int64_t> total{0};
-  ParallelFor(0, 1000, 1, [&](int64_t b, int64_t e) { total += e - b; });
+  ParallelFor(0, 1000, kMinChunkCost,
+              [&](int64_t b, int64_t e) { total += e - b; });
   EXPECT_EQ(total.load(), 1000);
 }
 
@@ -103,11 +147,12 @@ TEST_F(ParallelTest, NestedCallsRunInlineWithoutDeadlock) {
   const int64_t outer = 64;
   const int64_t inner = 50;
   std::atomic<int64_t> count{0};
-  ParallelFor(0, outer, 1, [&](int64_t b, int64_t e) {
+  ParallelFor(0, outer, kMinChunkCost, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) {
       EXPECT_TRUE(InParallelRegion());
       int64_t local = 0;  // inner region is inline: no race on `local`
-      ParallelFor(0, inner, 1, [&](int64_t ib, int64_t ie) { local += ie - ib; });
+      ParallelFor(0, inner, kMinChunkCost,
+                  [&](int64_t ib, int64_t ie) { local += ie - ib; });
       count += local;
     }
   });
@@ -118,7 +163,7 @@ TEST_F(ParallelTest, SingleThreadRunsOnCallingThread) {
   SetNumThreads(1);
   const std::thread::id caller = std::this_thread::get_id();
   bool all_on_caller = true;
-  ParallelFor(0, 100000, 1, [&](int64_t, int64_t) {
+  ParallelFor(0, 100000, kMinChunkCost, [&](int64_t, int64_t) {
     if (std::this_thread::get_id() != caller) all_on_caller = false;
   });
   EXPECT_TRUE(all_on_caller);
@@ -133,7 +178,7 @@ TEST_F(ParallelTest, BackToBackTinyRegionsSurviveLateWakingWorkers) {
   SetNumThreads(4);
   for (int iter = 0; iter < 5000; ++iter) {
     std::vector<int> out(64, 0);
-    ParallelFor(0, 64, 1, [&](int64_t b, int64_t e) {
+    ParallelFor(0, 64, kMinChunkCost, [&](int64_t b, int64_t e) {
       for (int64_t i = b; i < e; ++i) out[static_cast<size_t>(i)] = 1;
     });
     int64_t covered = 0;

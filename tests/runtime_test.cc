@@ -261,7 +261,7 @@ TEST(ParallelPropagationTest, NoGradHoldsInsideParallelRegion) {
     thread_ids.clear();
     {
       ag::NoGradGuard no_grad;
-      ParallelFor(0, kRange, 1, [&](int64_t begin, int64_t end) {
+      ParallelFor(0, kRange, kMinChunkCost, [&](int64_t begin, int64_t end) {
         const char enabled = ag::GradMode::IsEnabled() ? 1 : 0;
         for (int64_t i = begin; i < end; ++i) grad_seen[i] = enabled;
         std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -288,7 +288,7 @@ TEST(ParallelPropagationTest, BoundContextReachesWorkers) {
   std::atomic<int64_t> wrong_context{0};
   {
     runtime::RuntimeContext::Bind bound(context);
-    ParallelFor(0, 4096, 1, [&](int64_t begin, int64_t end) {
+    ParallelFor(0, 4096, kMinChunkCost, [&](int64_t begin, int64_t end) {
       if (&runtime::RuntimeContext::Current() != &context) {
         wrong_context.fetch_add(end - begin);
       }
@@ -306,7 +306,7 @@ TEST(ParallelPropagationTest, TraceStackReachesWorkers) {
   std::atomic<int64_t> wrong_stack{0};
   {
     obs::TraceSpan span("runtime_test_region");
-    ParallelFor(0, 4096, 1, [&](int64_t begin, int64_t end) {
+    ParallelFor(0, 4096, kMinChunkCost, [&](int64_t begin, int64_t end) {
       const std::vector<const char*> stack = obs::TraceSpan::SnapshotStack();
       if (stack.size() != 1 ||
           std::string(stack[0]) != "runtime_test_region") {
