@@ -695,14 +695,23 @@ TEST(SparseTest, DenseHopChainMatchesPowerOracle) {
   // The dense (k=0) DAMGN walks (A')ʰ·X hop by hop; the oracle materializes
   // the powers. Same function, sums in a different order: forward and every
   // gradient agree to reassociation tolerance. The chain itself is bitwise
-  // invariant to the thread count and to batching.
+  // invariant to the thread count and to batching. The N=207, B=8 case is
+  // the production hop apply: its GEMMs cost more than two minimum chunks,
+  // so the 4-thread run really partitions them.
+  struct Case {
+    int64_t n, c;
+    std::vector<int64_t> batches;
+  };
+  const Case cases[] = {
+      {5, 3, {1, 3}}, {37, 3, {1, 3}}, {130, 3, {1, 3}}, {207, 16, {1, 8}}};
   Rng rng(43);
-  const int64_t c = 3;
-  for (const int64_t n : {5, 37, 130}) {
+  for (const Case& cs : cases) {
+    const int64_t n = cs.n;
+    const int64_t c = cs.c;
     core::Damgn damgn(Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f), n, c,
                       /*mem_dim=*/4, /*embed_dim=*/5, rng);
     SetMixingCoefficients(&damgn);
-    for (const int64_t batch : {1, 3}) {
+    for (const int64_t batch : cs.batches) {
       for (const int max_hops : {1, 2, 3}) {
         for (const bool bidirectional : {false, true}) {
           SCOPED_TRACE("N=" + std::to_string(n) +
@@ -722,9 +731,14 @@ TEST(SparseTest, DenseHopChainMatchesPowerOracle) {
           SetNumThreads(1);
           const std::vector<Tensor> serial = run(x, up, false);
           SetNumThreads(4);
-          const std::vector<Tensor> got = run(x, up, false);
+          std::vector<Tensor> got;
+          const int64_t pooled = ::enhancenet::testing::PooledRegions(
+              [&] { got = run(x, up, false); });
           const std::vector<Tensor> want = run(x, up, true);
           SetNumThreads(restore);
+          if (batch == 8) {
+            EXPECT_GT(pooled, 0);
+          }
           ASSERT_EQ(got.size(), want.size());
           for (size_t i = 0; i < got.size(); ++i) {
             SCOPED_TRACE("tensor " + std::to_string(i));

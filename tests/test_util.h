@@ -2,11 +2,14 @@
 #define ENHANCENET_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "runtime/context.h"
 #include "tensor/tensor.h"
 
 namespace enhancenet {
@@ -53,6 +56,25 @@ inline void ExpectTensorNear(const Tensor& actual, const Tensor& expected,
   for (int64_t i = 0; i < actual.numel(); ++i) {
     EXPECT_NEAR(pa[i], pe[i], tolerance) << "element " << i;
   }
+}
+
+/// Runs `fn` with the opt-in profile on and returns how many of the
+/// ParallelFor regions it entered were split across the pool rather than
+/// run inline. A thread-invariance test uses it to show that its 4-thread
+/// run really partitions the work it compares.
+inline int64_t PooledRegions(const std::function<void()>& fn) {
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter* regions = registry.GetCounter("parallel.regions");
+  obs::Counter* inline_regions = registry.GetCounter("parallel.inline_regions");
+  const bool was_enabled = runtime::ProfilingEnabled();
+  runtime::SetProfilingEnabled(true);
+  const int64_t regions_before = regions->Get();
+  const int64_t inline_before = inline_regions->Get();
+  fn();
+  const int64_t pooled = (regions->Get() - regions_before) -
+                         (inline_regions->Get() - inline_before);
+  runtime::SetProfilingEnabled(was_enabled);
+  return pooled;
 }
 
 }  // namespace testing
